@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"math"
 	"testing"
 
 	"trimcaching/internal/geom"
@@ -210,5 +211,63 @@ func TestDegradeTimelineModeAndWorkerAgnostic(t *testing.T) {
 	assertResultsEqual(t, runDegradeTimeline(t, Rebuild, 1), want, "rebuild vs incremental")
 	if want.Replacements[0] < 2 {
 		t.Fatalf("forced replaces not counted: %v", want.Replacements)
+	}
+}
+
+// TestCapacityOverflowRejected feeds a budget whose bit count overflows
+// int64 (8·2^61 wraps to 0 bits, which would block every model while the
+// engine reported ~2.3 EB) through both capacity ops. Each must fail and
+// leave the live capacities, the placements after a forced replace, and
+// the next checkpoint's hit ratios bit-identical to an engine that never
+// saw the calls.
+func TestCapacityOverflowRejected(t *testing.T) {
+	const huge = int64(1) << 61
+	got, err := NewEngine(testConfig(testInstance(t, 11), nil, Incremental, 1), rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEngine(testConfig(testInstance(t, 11), nil, Incremental, 1), rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := geom.RectRegion(0, 0, 600, 1000)
+	if servers, err := got.ServersInRegion(region); err != nil || len(servers) == 0 {
+		t.Fatalf("region holds servers %v (%v); the test needs at least one", servers, err)
+	}
+	if err := got.SetServerCapacity(0, huge); err == nil {
+		t.Fatal("SetServerCapacity accepted an overflowing budget")
+	}
+	if err := got.DegradeRegion(region, huge); err == nil {
+		t.Fatal("DegradeRegion accepted an overflowing budget")
+	}
+	for m := range want.caps {
+		if g, w := got.ServerCapacityBytes(m), want.ServerCapacityBytes(m); g != w {
+			t.Fatalf("server %d: live capacity %d after rejected calls, want %d", m, g, w)
+		}
+	}
+	steps := make([][]float64, 2)
+	for k, eng := range []*Engine{got, want} {
+		for a := range eng.cfg.Tracks {
+			if _, err := eng.Replace(a, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Advance(); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := eng.Step(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps[k] = append([]float64(nil), st.HitRatio...)
+	}
+	assertPlacementsEqual(t, "after rejected capacity ops", got, want)
+	for a := range steps[1] {
+		if math.Float64bits(steps[0][a]) != math.Float64bits(steps[1][a]) {
+			t.Fatalf("track %d: next checkpoint hit ratio %v, want %v", a, steps[0][a], steps[1][a])
+		}
 	}
 }

@@ -28,6 +28,7 @@ package dynamics
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"trimcaching/internal/bitset"
@@ -531,27 +532,43 @@ func (e *Engine) SetServersDown(servers []int, down bool) error {
 // scenario.Instance.Rebuild replays the instance-level budget on every
 // Rebuild-mode refresh, so the Incremental == Rebuild pin holds through
 // degradations. The caller decides when tracks re-place (typically Replace
-// right after, on both the shrink and the restore).
+// right after, on both the shrink and the restore). A budget above
+// MaxServerCapacityBytes is rejected with the engine unchanged.
 func (e *Engine) SetServerCapacity(m int, bytes int64) error {
 	if m < 0 || m >= len(e.caps) {
 		return fmt.Errorf("dynamics: server %d out of range [0,%d)", m, len(e.caps))
 	}
-	budgetBits := int64(-1)
-	if bytes < 0 {
-		e.caps[m] = e.caps0[m]
-	} else {
-		e.caps[m] = bytes
-		budgetBits = 8 * bytes
+	if err := checkCapacityBytes(bytes); err != nil {
+		return err
+	}
+	budget, budgetBits := e.caps0[m], int64(-1)
+	if bytes >= 0 {
+		budget, budgetBits = bytes, 8*bytes
 	}
 	delta, err := e.ins.SetServerCapacity(m, budgetBits)
 	if err != nil {
 		return fmt.Errorf("dynamics: %w", err)
 	}
+	e.caps[m] = budget
 	if err := e.eval.ApplyDelta(delta); err != nil {
 		return fmt.Errorf("dynamics: %w", err)
 	}
 	for a := range e.accPairs {
 		e.accPairs[a].Or(delta.Pairs)
+	}
+	return nil
+}
+
+// MaxServerCapacityBytes is the largest storage budget SetServerCapacity
+// and DegradeRegion accept: the instance keeps budgets in bits, and 8·bytes
+// must fit in an int64.
+const MaxServerCapacityBytes = math.MaxInt64 / 8
+
+// checkCapacityBytes rejects a storage budget whose bit count would
+// overflow; negative budgets (restore) pass.
+func checkCapacityBytes(bytes int64) error {
+	if bytes > MaxServerCapacityBytes {
+		return fmt.Errorf("dynamics: capacity %d bytes exceeds the %d-byte limit", bytes, int64(MaxServerCapacityBytes))
 	}
 	return nil
 }
@@ -593,8 +610,12 @@ func (e *Engine) SetRegionDown(r geom.Region, down bool) error {
 // DegradeRegion applies one storage budget to every server in the region
 // (negative restores each server's configured capacity) — the partial
 // counterpart of SetRegionDown, for failure domains that lose storage
-// rather than power.
+// rather than power. The budget is validated before any server changes, so
+// a rejected call leaves the whole region untouched.
 func (e *Engine) DegradeRegion(r geom.Region, bytes int64) error {
+	if err := checkCapacityBytes(bytes); err != nil {
+		return err
+	}
 	servers, err := e.ServersInRegion(r)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"sort"
 	"testing"
 
 	"trimcaching/internal/libgen"
@@ -66,6 +67,40 @@ func BenchmarkRoundingDP(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		_, _ = solveKnapsack(items, 500_000_000, 0.1, scratch)
+	}
+}
+
+// BenchmarkRoundingDPLoRA times one DP at the shape of a resolve-lora
+// server: ~480 equal-sized adapters whose hit-mass values spread wide
+// enough to hit maxDPWidth, and a capacity that admits the highest-value
+// adapters up to about a third of the total value.
+func BenchmarkRoundingDPLoRA(b *testing.B) {
+	src := rng.New(1)
+	items := make([]knapsackItem, 480)
+	var total float64
+	for i := range items {
+		items[i] = knapsackItem{
+			id:     i,
+			value:  src.Uniform(0.5, 1.5) / float64(i+1),
+			weight: int64(src.IntRange(32_000_000, 33_000_000)),
+		}
+		total += items[i].value
+	}
+	items[len(items)-1].value = 1e-6 // a tiny gain coarsens the scale to the cap
+	byValue := append([]knapsackItem(nil), items...)
+	sort.Slice(byValue, func(a, c int) bool { return byValue[a].value > byValue[c].value })
+	var capacity int64
+	for v, k := 0.0, 0; v < total/3; k++ {
+		v += byValue[k].value
+		capacity += byValue[k].weight
+	}
+	if roundingDPWidth(items, 0.1) != maxDPWidth {
+		b.Fatal("benchmark instance does not reach maxDPWidth")
+	}
+	scratch := &dpScratch{}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		_, _ = solveKnapsack(items, capacity, 0.1, scratch)
 	}
 }
 

@@ -226,3 +226,52 @@ func TestShardFaultCheckpointAllocFree(t *testing.T) {
 		t.Fatalf("measured window grew a cell; pick a seed/warm-up that stays within slot headroom")
 	}
 }
+
+// TestShardCapacityOverflowRejected is the sharded counterpart of the
+// dynamics overflow pin: SetServerCapacity and DegradeRegion with a budget
+// whose bit count overflows must fail, and every cell's live capacities,
+// placements and the next checkpoint's hit ratios must match an engine
+// that never saw the calls.
+func TestShardCapacityOverflowRejected(t *testing.T) {
+	const huge = int64(1) << 61
+	region := geom.RectRegion(0, 100, 600, 500) // spans both cells
+	got, err := NewEngine(smokeShardConfig(t, 2, 1, dynamics.Incremental), rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEngine(smokeShardConfig(t, 2, 1, dynamics.Incremental), rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.SetServerCapacity(1, huge); err == nil {
+		t.Fatal("SetServerCapacity accepted an overflowing budget")
+	}
+	if err := got.DegradeRegion(region, huge); err == nil {
+		t.Fatal("DegradeRegion accepted an overflowing budget")
+	}
+	steps := make([]Step, 2)
+	for k, se := range []*Engine{got, want} {
+		if err := se.ForceReplace(1); err != nil {
+			t.Fatal(err)
+		}
+		st, err := se.Checkpoint(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps[k] = Step{TimeMin: st.TimeMin, HitRatio: append([]float64(nil), st.HitRatio...), Replaced: append([]bool(nil), st.Replaced...)}
+	}
+	sameSteps(t, "after rejected capacity ops", steps[:1], steps[1:])
+	for c, sh := range want.cells {
+		gsh := got.cells[c]
+		for j := range sh.servers {
+			if g, w := gsh.eng.ServerCapacityBytes(j), sh.eng.ServerCapacityBytes(j); g != w {
+				t.Fatalf("cell %d server %d: live capacity %d, want %d", c, sh.servers[j], g, w)
+			}
+			for a := range want.cfg.Tracks {
+				if g, w := gsh.eng.Placement(a).Models(j), sh.eng.Placement(a).Models(j); !g.Equal(w) {
+					t.Fatalf("cell %d track %d server %d: placement differs", c, a, sh.servers[j])
+				}
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"trimcaching/internal/dynamics"
 	"trimcaching/internal/geom"
 	"trimcaching/internal/scenario"
 	"trimcaching/internal/workload"
@@ -132,8 +133,13 @@ func (e *Engine) SetRegionDown(r geom.Region, down bool) error {
 }
 
 // DegradeRegion applies one storage budget to every server in the region
-// (negative restores each server's configured capacity).
+// (negative restores each server's configured capacity). The budget is
+// validated before any server changes, so a rejected call leaves the whole
+// region untouched.
 func (e *Engine) DegradeRegion(r geom.Region, bytes int64) error {
+	if bytes > dynamics.MaxServerCapacityBytes {
+		return fmt.Errorf("shard: capacity %d bytes exceeds the %d-byte limit", bytes, int64(dynamics.MaxServerCapacityBytes))
+	}
 	servers, err := e.ServersInRegion(r)
 	if err != nil {
 		return err
