@@ -742,7 +742,7 @@ func RunGallery(cfg GalleryConfig) (*GalleryResult, error) {
 				}
 				replacements += eng.Replacements(0) + 1
 				dcfg.Instance = grown
-				eng, err = dynamics.NewEngine(dcfg, root.SplitIndex("grow", cp))
+				eng, err = dynamics.NewEngine(dcfg, root)
 				if err != nil {
 					return nil, err
 				}

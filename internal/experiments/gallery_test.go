@@ -145,7 +145,7 @@ func TestGalleryDeterminism(t *testing.T) {
 	}
 }
 
-func assertGalleryEqual(t *testing.T, label string, got, want *GalleryResult) {
+func assertGalleryEqual(t *testing.T, label string, got, want any) {
 	t.Helper()
 	g, err := json.Marshal(got)
 	if err != nil {
@@ -157,5 +157,32 @@ func assertGalleryEqual(t *testing.T, label string, got, want *GalleryResult) {
 	}
 	if !bytes.Equal(g, w) {
 		t.Fatalf("%s diverged\n--- got ---\n%s\n--- want ---\n%s", label, g, w)
+	}
+}
+
+// TestGalleryShardsOneMatchesUnsharded pins the two gallery legs to each
+// other: with one cell the sharded engine runs the unsharded engine's
+// walk, measurement streams and event ops, so every scenario's steps,
+// replacement count and recovery latency must match bit for bit.
+func TestGalleryShardsOneMatchesUnsharded(t *testing.T) {
+	for _, name := range GalleryNames() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			base := DefaultGalleryConfig()
+			base.Shards = 1
+			cfg, err := GalleryScenario(name, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			un, sh := runGalleryPair(t, cfg)
+			assertGalleryEqual(t, "shards=1 steps vs unsharded", sh.Steps, un.Steps)
+			if sh.Replacements != un.Replacements {
+				t.Errorf("shards=1 made %d replacements, unsharded %d", sh.Replacements, un.Replacements)
+			}
+			if sh.PreOutageHit != un.PreOutageHit || sh.RecoveryCheckpoints != un.RecoveryCheckpoints {
+				t.Errorf("shards=1 recovery (pre %v, %d checkpoints), unsharded (pre %v, %d checkpoints)",
+					sh.PreOutageHit, sh.RecoveryCheckpoints, un.PreOutageHit, un.RecoveryCheckpoints)
+			}
+		})
 	}
 }
