@@ -89,8 +89,8 @@ func TestDegradeRepairMatchesColdSolve(t *testing.T) {
 
 // TestRegionalFailureMatchesServerList pins the failure-domain selector and
 // its correlated application: SetRegionDown must behave exactly like
-// SetServersDown over ServersInRegion's list, and DegradeRegion like the
-// per-server SetServerCapacity sequence.
+// SetServersDown over the topology's ServersInRegion list, and
+// DegradeRegion like the per-server SetServerCapacity sequence.
 func TestRegionalFailureMatchesServerList(t *testing.T) {
 	byRegion, err := NewEngine(testConfig(testInstance(t, 11), nil, Incremental, 1), rng.New(5))
 	if err != nil {
@@ -100,7 +100,7 @@ func TestRegionalFailureMatchesServerList(t *testing.T) {
 	// A disk around server 0 wide enough to catch at least one neighbour.
 	c := topo.ServerPos(0)
 	region := geom.DiskRegion(c.X, c.Y, 500)
-	servers, err := byRegion.ServersInRegion(region)
+	servers, err := topo.ServersInRegion(region)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCapacityOverflowRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	region := geom.RectRegion(0, 0, 600, 1000)
-	if servers, err := got.ServersInRegion(region); err != nil || len(servers) == 0 {
+	if servers, err := got.Instance().Topology().ServersInRegion(region); err != nil || len(servers) == 0 {
 		t.Fatalf("region holds servers %v (%v); the test needs at least one", servers, err)
 	}
 	if err := got.SetServerCapacity(0, huge); err == nil {

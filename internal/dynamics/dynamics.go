@@ -29,6 +29,7 @@ package dynamics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"trimcaching/internal/bitset"
@@ -218,8 +219,10 @@ type Result struct {
 }
 
 // Engine is a running timeline. Callers either drive the whole loop with
-// Run or step it manually (Advance → Refresh → Measure/Replace), which is
-// how the benchmarks time each phase in isolation.
+// Run, step it one checkpoint at a time with Checkpoint (injecting events
+// in between, as the scenario gallery does), or step it manually
+// (Advance → Refresh → Measure/Replace), which is how the benchmarks time
+// each phase in isolation.
 type Engine struct {
 	cfg     Config
 	src     *rng.Source
@@ -231,9 +234,10 @@ type Engine struct {
 	traceMeas *TraceMeasurement // non-nil when measure is the trace track
 	pop       *mobility.Population
 
-	allUsers  []int
-	positions []geom.Point
-	movedSeen []bool // rebuild-path duplicate-move check scratch
+	allUsers    []int
+	positions   []geom.Point
+	movedSeen   []bool // rebuild-path duplicate-move check scratch
+	pendingMass []int  // users queued by ReviseUserMass for the next Refresh
 
 	placements []*placement.Placement
 	baselines  []float64
@@ -270,14 +274,6 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 			return nil, fmt.Errorf("dynamics: %w", err)
 		}
 	}
-	eval, err := placement.NewEvaluator(ins)
-	if err != nil {
-		return nil, fmt.Errorf("dynamics: %w", err)
-	}
-	// The Workers pin governs every pool the engine drives, including the
-	// instance's parallel delta-update phase — a Workers=1 engine runs
-	// genuinely single-goroutine checkpoints.
-	ins.SetUpdateWorkers(cfg.Workers)
 	K := ins.NumUsers()
 	measure := cfg.Measurement
 	if measure == nil {
@@ -287,15 +283,10 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 		cfg:                cfg,
 		src:                src,
 		walkSrc:            src.Split("walk"),
-		ins:                ins,
-		eval:               eval,
-		measure:            measure,
 		pop:                pop,
 		allUsers:           make([]int, K),
-		positions:          make([]geom.Point, K),
-		placements:         make([]*placement.Placement, len(cfg.Tracks)),
+		positions:          ins.Topology().UserPositions(),
 		baselines:          make([]float64, len(cfg.Tracks)),
-		accPairs:           make([]bitset.Set, len(cfg.Tracks)),
 		caps:               append([]int64(nil), cfg.Capacities...),
 		caps0:              append([]int64(nil), caps0(cfg)...),
 		stepHit:            make([]float64, len(cfg.Tracks)),
@@ -304,29 +295,47 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 		checkpoints:        cfg.DurationMin / cfg.CheckpointMin,
 		replacements:       make([]int, len(cfg.Tracks)),
 	}
-	e.traceMeas, _ = measure.(*TraceMeasurement)
 	for k := range e.allUsers {
 		e.allUsers[k] = k
 	}
-	if cfg.ExternalMobility {
-		// Externally driven rebuilds need the authoritative position vector
-		// the caller's moves accumulate into.
-		copy(e.positions, ins.Topology().UserPositions())
-	}
-	for a, tr := range cfg.Tracks {
-		e.accPairs[a] = bitset.New(ins.NumServers() * ins.NumModels())
-		p, err := tr.Algorithm.Place(eval, e.caps)
-		if err != nil {
-			return nil, fmt.Errorf("dynamics: %s: %w", tr.Algorithm.Name(), err)
-		}
-		e.placements[a] = p
-	}
-	base, err := e.Measure(0)
-	if err != nil {
+	if err := e.install(ins, measure); err != nil {
 		return nil, err
 	}
-	copy(e.baselines, base)
 	return e, nil
+}
+
+// install solves every track from scratch on ins and measures the t = 0
+// baselines on meas, then swaps the instance, its evaluator, the
+// measurement, the placements, and the baselines into the engine. Nothing
+// of the engine changes until every step has succeeded.
+func (e *Engine) install(ins *scenario.Instance, meas Measurement) error {
+	eval, err := placement.NewEvaluator(ins)
+	if err != nil {
+		return fmt.Errorf("dynamics: %w", err)
+	}
+	// The Workers pin governs every pool the engine drives, including the
+	// instance's parallel delta-update phase — a Workers=1 engine runs
+	// genuinely single-goroutine checkpoints.
+	ins.SetUpdateWorkers(e.cfg.Workers)
+	placements := make([]*placement.Placement, len(e.cfg.Tracks))
+	accPairs := make([]bitset.Set, len(e.cfg.Tracks))
+	for a, tr := range e.cfg.Tracks {
+		accPairs[a] = bitset.New(ins.NumServers() * ins.NumModels())
+		p, err := tr.Algorithm.Place(eval, e.caps)
+		if err != nil {
+			return fmt.Errorf("dynamics: %s: %w", tr.Algorithm.Name(), err)
+		}
+		placements[a] = p
+	}
+	base, err := meas.Measure(eval, placements, e.src.SplitIndexInto(&e.measureSrc, "fading", 0))
+	if err != nil {
+		return fmt.Errorf("dynamics: %w", err)
+	}
+	e.ins, e.eval, e.measure = ins, eval, meas
+	e.traceMeas, _ = meas.(*TraceMeasurement)
+	e.placements, e.accPairs = placements, accPairs
+	copy(e.baselines, base)
+	return nil
 }
 
 // caps0 returns the configured capacity vector restores target.
@@ -364,14 +373,50 @@ func (e *Engine) Advance() error {
 }
 
 // Refresh brings the instance (and evaluator) up to date with the walkers'
-// current positions: a delta update in Incremental mode, a fresh instance
-// in Rebuild mode.
+// current positions and with the users queued by ReviseUserMass: a delta
+// update in Incremental mode, a fresh instance in Rebuild mode.
 func (e *Engine) Refresh() error {
 	if e.pop == nil {
 		return fmt.Errorf("dynamics: engine is externally driven (ExternalMobility); use ApplyExternal")
 	}
 	e.pop.PositionsInto(e.positions)
-	return e.refresh(nil, nil, e.allUsers, e.positions)
+	if len(e.pendingMass) > 1 {
+		slices.Sort(e.pendingMass)
+		e.pendingMass = slices.Compact(e.pendingMass)
+	}
+	if err := e.refresh(nil, e.pendingMass, e.allUsers, e.positions); err != nil {
+		return err
+	}
+	e.pendingMass = e.pendingMass[:0]
+	return nil
+}
+
+// ReviseUserMass queues users whose probability rows the caller swapped in
+// the instance's workload (workload.SetUserProbRow) since the last
+// checkpoint. The next Refresh revises them through ReviseUsers' mass-only
+// path, each once however often it was queued. Deadline and inference rows
+// must stay bound — only popularity may change through this path. An
+// out-of-range user is rejected with nothing queued.
+func (e *Engine) ReviseUserMass(users []int) error {
+	if e.pop == nil {
+		return fmt.Errorf("dynamics: engine is externally driven (ExternalMobility); use ApplyExternal")
+	}
+	K := len(e.allUsers)
+	for _, k := range users {
+		if k < 0 || k >= K {
+			return fmt.Errorf("dynamics: user %d out of range [0,%d)", k, K)
+		}
+	}
+	e.pendingMass = append(e.pendingMass, users...)
+	return nil
+}
+
+// Positions returns a copy of the user positions the instance reflects:
+// the construction-time draw until the first Refresh, the walkers'
+// positions as of the latest Refresh afterwards. An externally driven
+// engine in Incremental mode does not track them: its driver owns them.
+func (e *Engine) Positions() []geom.Point {
+	return append([]geom.Point(nil), e.positions...)
 }
 
 // ApplyExternal is the externally-driven engine's Refresh: the caller
@@ -501,6 +546,74 @@ func (e *Engine) Replace(a, cp int) (float64, error) {
 	return base[0], nil
 }
 
+// ForceReplace re-places every track on the current instance and
+// re-baselines it on checkpoint cp's replacement stream — Replace for each
+// track, the repair an outage, recovery, or capacity change forces.
+func (e *Engine) ForceReplace(cp int) error {
+	for a := range e.cfg.Tracks {
+		if _, err := e.Replace(a, cp); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// GrowLibrary swaps in an instance over a grown model library (and the
+// matching wider workload) mid-timeline: library churn. The instance must
+// describe the same deployment — same servers, same users at the engine's
+// current Positions — with at least the current model count; any other
+// instance is rejected with the engine unchanged. The live down set and
+// degraded budgets are re-applied to it, then every track is solved from
+// scratch and re-baselined exactly as NewEngine over that instance with
+// the engine's own source would; each growth re-solve counts as one
+// re-placement. The engine keeps its mobility population, walk stream,
+// replacement counts, and queued mass revisions. Call between checkpoints.
+func (e *Engine) GrowLibrary(ins *scenario.Instance) error {
+	if e.pop == nil {
+		return fmt.Errorf("dynamics: engine is externally driven (ExternalMobility); its driver rebuilds it")
+	}
+	old := e.ins
+	if ins == nil {
+		return fmt.Errorf("dynamics: a replacement instance is required")
+	}
+	if ins.NumServers() != old.NumServers() || ins.NumUsers() != old.NumUsers() {
+		return fmt.Errorf("dynamics: grown instance is %dx%d servers x users, want %dx%d",
+			ins.NumServers(), ins.NumUsers(), old.NumServers(), old.NumUsers())
+	}
+	if ins.NumModels() < old.NumModels() {
+		return fmt.Errorf("dynamics: grown instance has %d models, fewer than the current %d",
+			ins.NumModels(), old.NumModels())
+	}
+	for k, p := range ins.Topology().UserPositions() {
+		if p != e.positions[k] {
+			return fmt.Errorf("dynamics: grown instance's user %d is at %v, engine tracks %v", k, p, e.positions[k])
+		}
+	}
+	meas, err := freshMeasurement(e.measure)
+	if err != nil {
+		return err
+	}
+	if down := old.DownServers(); len(down) > 0 {
+		if _, err := ins.SetServersDown(down, true); err != nil {
+			return fmt.Errorf("dynamics: %w", err)
+		}
+	}
+	for m := 0; m < old.NumServers(); m++ {
+		if bits := old.ServerCapacityBits(m); bits >= 0 {
+			if _, err := ins.SetServerCapacity(m, bits); err != nil {
+				return fmt.Errorf("dynamics: %w", err)
+			}
+		}
+	}
+	if err := e.install(ins, meas); err != nil {
+		return err
+	}
+	for a := range e.replacements {
+		e.replacements[a]++
+	}
+	return nil
+}
+
 // SetServersDown takes servers out of (or back into) service on the live
 // instance and threads the resulting delta through the evaluator and every
 // track's accumulated repair set, exactly like a refresh. It works in both
@@ -538,7 +651,7 @@ func (e *Engine) SetServerCapacity(m int, bytes int64) error {
 	if m < 0 || m >= len(e.caps) {
 		return fmt.Errorf("dynamics: server %d out of range [0,%d)", m, len(e.caps))
 	}
-	if err := checkCapacityBytes(bytes); err != nil {
+	if err := CheckCapacityBytes(bytes); err != nil {
 		return err
 	}
 	budget, budgetBits := e.caps0[m], int64(-1)
@@ -564,9 +677,9 @@ func (e *Engine) SetServerCapacity(m int, bytes int64) error {
 // must fit in an int64.
 const MaxServerCapacityBytes = math.MaxInt64 / 8
 
-// checkCapacityBytes rejects a storage budget whose bit count would
+// CheckCapacityBytes rejects a storage budget whose bit count would
 // overflow; negative budgets (restore) pass.
-func checkCapacityBytes(bytes int64) error {
+func CheckCapacityBytes(bytes int64) error {
 	if bytes > MaxServerCapacityBytes {
 		return fmt.Errorf("dynamics: capacity %d bytes exceeds the %d-byte limit", bytes, int64(MaxServerCapacityBytes))
 	}
@@ -577,29 +690,13 @@ func checkCapacityBytes(bytes int64) error {
 // the configured value unless a SetServerCapacity degradation is active.
 func (e *Engine) ServerCapacityBytes(m int) int64 { return e.caps[m] }
 
-// ServersInRegion returns the ascending list of servers whose position the
-// region contains — the failure domain of a correlated regional event.
-func (e *Engine) ServersInRegion(r geom.Region) ([]int, error) {
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("dynamics: %w", err)
-	}
-	topo := e.ins.Topology()
-	var list []int
-	for m := 0; m < topo.NumServers(); m++ {
-		if r.Contains(topo.ServerPos(m)) {
-			list = append(list, m)
-		}
-	}
-	return list, nil
-}
-
 // SetRegionDown takes every server in the region out of (or back into)
 // service in one correlated event — a single delta, a single evaluator
 // application. An empty region is a no-op.
 func (e *Engine) SetRegionDown(r geom.Region, down bool) error {
-	servers, err := e.ServersInRegion(r)
+	servers, err := e.ins.Topology().ServersInRegion(r)
 	if err != nil {
-		return err
+		return fmt.Errorf("dynamics: %w", err)
 	}
 	if len(servers) == 0 {
 		return nil
@@ -613,12 +710,12 @@ func (e *Engine) SetRegionDown(r geom.Region, down bool) error {
 // rather than power. The budget is validated before any server changes, so
 // a rejected call leaves the whole region untouched.
 func (e *Engine) DegradeRegion(r geom.Region, bytes int64) error {
-	if err := checkCapacityBytes(bytes); err != nil {
+	if err := CheckCapacityBytes(bytes); err != nil {
 		return err
 	}
-	servers, err := e.ServersInRegion(r)
+	servers, err := e.ins.Topology().ServersInRegion(r)
 	if err != nil {
-		return err
+		return fmt.Errorf("dynamics: %w", err)
 	}
 	for _, m := range servers {
 		if err := e.SetServerCapacity(m, bytes); err != nil {
@@ -743,8 +840,8 @@ func (e *Engine) ProfileResolvesSubset(n, stride int, rebuildHeap bool) (time.Du
 	return total, nil
 }
 
-// Run drives the whole timeline: measure at t = 0, then per checkpoint
-// walk, refresh, measure, and fire each track's trigger.
+// Run drives the whole timeline: measure at t = 0, then Checkpoint after
+// Checkpoint.
 func (e *Engine) Run() (*Result, error) {
 	res := &Result{
 		Steps:        make([]Step, 0, e.checkpoints+1),
@@ -755,13 +852,7 @@ func (e *Engine) Run() (*Result, error) {
 	res.Steps = append(res.Steps, first)
 
 	for cp := 1; cp <= e.checkpoints; cp++ {
-		if err := e.Advance(); err != nil {
-			return nil, err
-		}
-		if err := e.Refresh(); err != nil {
-			return nil, err
-		}
-		step, err := e.Step(cp)
+		step, err := e.Checkpoint(cp)
 		if err != nil {
 			return nil, err
 		}
@@ -775,6 +866,20 @@ func (e *Engine) Run() (*Result, error) {
 		res.Steps = append(res.Steps, kept)
 	}
 	return res, nil
+}
+
+// Checkpoint advances one checkpoint: walk every user (Advance), refresh
+// the instance (Refresh, which also applies queued mass revisions), then
+// measure and fire the triggers (Step). cp counts from 1. The returned
+// step's slices are engine-owned and reused, as Step's are.
+func (e *Engine) Checkpoint(cp int) (Step, error) {
+	if err := e.Advance(); err != nil {
+		return Step{}, err
+	}
+	if err := e.Refresh(); err != nil {
+		return Step{}, err
+	}
+	return e.Step(cp)
 }
 
 // Step runs everything in the checkpoint loop after the instance refresh:

@@ -106,3 +106,66 @@ func TestProfileResolvesSubset(t *testing.T) {
 		t.Errorf("stride<=1 fallback diverges: %d vs %d", a, b)
 	}
 }
+
+// TestReviseUserMassQueue pins the internally driven engine's mass-revision
+// queue: users queued twice are revised once, in any queue order, with
+// the same result as one queue of each; an out-of-range user queues
+// nothing; and an externally driven engine refuses the queue (its driver
+// passes massOnly to ApplyExternal).
+func TestReviseUserMassQueue(t *testing.T) {
+	run := func(queues ...[]int) []float64 {
+		cfg, err := NewSmokeScaleConfig(Incremental)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(cfg, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		work := e.Instance().Workload()
+		for _, k := range []int{1, 3} {
+			row := append([]float64(nil), work.ProbRow(k)...)
+			for i := range row {
+				row[i] *= 4
+			}
+			if err := work.SetUserProbRow(k, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range queues {
+			if err := e.ReviseUserMass(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.ReviseUserMass([]int{0, e.Instance().NumUsers()}); err == nil {
+			t.Fatal("out-of-range user queued")
+		}
+		st, err := e.Checkpoint(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]float64(nil), st.HitRatio...)
+	}
+	want := run([]int{1, 3})
+	if unrevised := run(); unrevised[0] == want[0] {
+		t.Fatalf("queued revisions left the hit ratio at %v; the test needs a visible revision", want[0])
+	}
+	for a, got := range run([]int{3, 1}, []int{3}) {
+		if got != want[a] {
+			t.Errorf("track %d: duplicated queue hit ratio %v, want %v", a, got, want[a])
+		}
+	}
+
+	cfg, err := NewSmokeScaleConfig(Incremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ExternalMobility = true
+	ext, err := NewEngine(cfg, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ext.ReviseUserMass([]int{0}); err == nil {
+		t.Error("ReviseUserMass succeeded on an external engine")
+	}
+}

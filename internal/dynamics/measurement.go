@@ -223,6 +223,25 @@ func (m *TraceMeasurement) MemoryBytes() int64 {
 	return n
 }
 
+// freshMeasurement returns a measurement with m's configuration and no
+// bound session — a measurement binds to its first instance's dimensions,
+// so an engine whose library grows needs a fresh one.
+func freshMeasurement(m Measurement) (Measurement, error) {
+	switch m := m.(type) {
+	case *FadingMeasurement:
+		return &FadingMeasurement{Realizations: m.Realizations, Workers: m.Workers, BlockSize: m.BlockSize}, nil
+	case *TraceMeasurement:
+		return &TraceMeasurement{
+			RequestsPerUserPerHour: m.RequestsPerUserPerHour,
+			WindowS:                m.WindowS,
+			Event:                  m.Event,
+			UserKey:                m.UserKey,
+			StreamSalt:             m.StreamSalt,
+		}, nil
+	}
+	return nil, fmt.Errorf("dynamics: measurement %q cannot follow a library grow", m.Name())
+}
+
 // TraceTrigger re-places on measured (windowed) hit-ratio degradation: it
 // keeps the last Window measured hit ratios since the track's placement and
 // fires when their mean drops more than Degradation below the

@@ -3,11 +3,14 @@
 // and recovery, partial-capacity degradations and correlated regional
 // failures over geometric failure domains, flash-crowd and diurnal demand
 // revisions through the mass-only revise path, and rolling model-library
-// churn via mid-timeline instance rebuilds — executed identically through
-// the unsharded engine (RunGallery, externally-driven mobility) and the
-// sharded engine (RunGallerySharded). Each run emits a golden-pinnable GalleryResult: the
-// hit-ratio trajectory per checkpoint, which events landed where, the
-// re-placement count, and the measured recovery latency after an outage.
+// churn through each engine's GrowLibrary. One driver loop replays the
+// schedule against the Engine interface both timeline engines satisfy, so
+// the unsharded engine (RunGallery) and the sharded engine
+// (RunGallerySharded) run the same event code; ApplyEvent, the fault half
+// of that loop, is shared with the chaos soak. Each run emits a
+// golden-pinnable GalleryResult: the hit-ratio trajectory per checkpoint,
+// which events landed where, the re-placement count, and the measured
+// recovery latency after an outage.
 package experiments
 
 import (
@@ -17,7 +20,6 @@ import (
 	"trimcaching/internal/dynamics"
 	"trimcaching/internal/geom"
 	"trimcaching/internal/libgen"
-	"trimcaching/internal/mobility"
 	"trimcaching/internal/modellib"
 	"trimcaching/internal/placement"
 	"trimcaching/internal/rng"
@@ -93,8 +95,8 @@ type Timeline struct {
 	Events []Event `json:"events"`
 }
 
-// at returns the events firing at checkpoint cp, in schedule order.
-func (t Timeline) at(cp int) []Event {
+// At returns the events firing at checkpoint cp, in schedule order.
+func (t Timeline) At(cp int) []Event {
 	var evs []Event
 	for _, ev := range t.Events {
 		if ev.Checkpoint == cp {
@@ -468,8 +470,10 @@ func newGallerySetup(cfg GalleryConfig) (*gallerySetup, error) {
 // activeInstance assembles an instance over the first active models of the
 // master library, with an aliased workload whose rows are prefixes of the
 // master rows — growing the library is then a pure prefix extension, and
-// the shared foundation blocks keep their identity across grows.
-func (s *gallerySetup) activeInstance(topo *topology.Topology, active int, coordinator bool) (*scenario.Instance, *workload.Workload, error) {
+// the shared foundation blocks keep their identity across grows. The
+// demand blend is applied to the rows before the instance is built, so the
+// instance's request mass matches the rows it reads.
+func (s *gallerySetup) activeInstance(topo *topology.Topology, active int, coordinator bool, demand *demandState) (*scenario.Instance, *workload.Workload, error) {
 	ids := make([]int, active)
 	for i := range ids {
 		ids[i] = i
@@ -486,6 +490,9 @@ func (s *gallerySetup) activeInstance(topo *topology.Topology, active int, coord
 		if err := awork.SetUserRows(k, s.master.ProbRow(k)[:active], s.master.DeadlineRow(k)[:active], s.master.InferRow(k)[:active]); err != nil {
 			return nil, nil, fmt.Errorf("gallery: %w", err)
 		}
+	}
+	if err := demand.apply(awork, active); err != nil {
+		return nil, nil, err
 	}
 	var ins *scenario.Instance
 	if coordinator {
@@ -617,240 +624,162 @@ func finishGallery(res *GalleryResult, cfg GalleryConfig, recoveryCp int) {
 	}
 }
 
+// Engine is the event surface both timeline engines share. The unsharded
+// *dynamics.Engine satisfies it directly; ShardEngine adapts the sharded
+// one. ApplyEvent and the gallery driver are written against it once, so
+// both engines replay a timeline through the same code.
+type Engine interface {
+	SetServersDown(servers []int, down bool) error
+	SetServerCapacity(m int, bytes int64) error
+	SetRegionDown(r geom.Region, down bool) error
+	DegradeRegion(r geom.Region, bytes int64) error
+	ForceReplace(cp int) error
+	ReviseUserMass(users []int) error
+	GrowLibrary(ins *scenario.Instance) error
+	Positions() []geom.Point
+	Checkpoints() int
+	Checkpoint(cp int) (dynamics.Step, error)
+	Replacements(a int) int
+}
+
+// ShardEngine adapts a sharded engine to Engine. Its steps drop the
+// serving aggregate (shard.Step.Serve); the hit ratios and replacement
+// flags pass through as the engine-owned slices they are.
+func ShardEngine(se *shard.Engine) Engine { return shardEngine{se} }
+
+type shardEngine struct{ *shard.Engine }
+
+func (s shardEngine) Checkpoint(cp int) (dynamics.Step, error) {
+	st, err := s.Engine.Checkpoint(cp)
+	return dynamics.Step{TimeMin: st.TimeMin, HitRatio: st.HitRatio, Replaced: st.Replaced}, err
+}
+
+// ApplyEvent applies one fault event — outage, recovery, degrade, or
+// regional — to eng, then re-places every track on checkpoint cp's
+// replacement stream: a degradation trigger never fires on a recovery or
+// a restore, so returned capacity must be re-placed onto explicitly.
+// Demand and grow events rewrite the deployment's workload and library,
+// which only the gallery driver holds, so they are rejected here.
+func ApplyEvent(eng Engine, ev Event, cp int) error {
+	if err := applyFault(eng, ev); err != nil {
+		return err
+	}
+	return eng.ForceReplace(cp)
+}
+
+// applyFault is ApplyEvent without the re-placement.
+func applyFault(eng Engine, ev Event) error {
+	switch ev.Kind {
+	case EventOutage, EventRecovery:
+		return eng.SetServersDown(ev.Servers, ev.Kind == EventOutage)
+	case EventDegrade:
+		for _, m := range ev.Servers {
+			if err := eng.SetServerCapacity(m, ev.CapacityBytes); err != nil {
+				return err
+			}
+		}
+		return nil
+	case EventRegional:
+		if ev.Region == nil {
+			return fmt.Errorf("gallery: regional event names no region")
+		}
+		switch {
+		case ev.CapacityBytes == 0:
+			return eng.SetRegionDown(*ev.Region, true)
+		case ev.CapacityBytes < 0:
+			if err := eng.SetRegionDown(*ev.Region, false); err != nil {
+				return err
+			}
+			return eng.DegradeRegion(*ev.Region, -1)
+		default:
+			return eng.DegradeRegion(*ev.Region, ev.CapacityBytes)
+		}
+	default:
+		return fmt.Errorf("gallery: %q is not a fault event", ev.Kind)
+	}
+}
+
+// faultEdge reports whether ev starts a fault (an outage, a shrink, a
+// regional failure) or ends one (a recovery, a restore).
+func faultEdge(ev Event) (fault, recovery bool) {
+	switch ev.Kind {
+	case EventOutage:
+		return true, false
+	case EventRecovery:
+		return false, true
+	case EventDegrade:
+		return ev.CapacityBytes > 0, ev.CapacityBytes < 0
+	case EventRegional:
+		return ev.CapacityBytes >= 0, ev.CapacityBytes < 0
+	}
+	return false, false
+}
+
+// NewEngine builds the unsharded engine over dc when shards is 0, or the
+// sharded engine at that many cells (dc lifted by shard.FromDynamics, with
+// dc.Workers bounding the cell pool too), and returns it with its t = 0
+// hit ratio per track.
+func NewEngine(dc dynamics.Config, shards int, src *rng.Source) (Engine, []float64, error) {
+	if shards == 0 {
+		de, err := dynamics.NewEngine(dc, src)
+		if err != nil {
+			return nil, nil, err
+		}
+		t0 := make([]float64, len(dc.Tracks))
+		for a := range t0 {
+			t0[a] = de.Baseline(a)
+		}
+		return de, t0, nil
+	}
+	scfg, err := shard.FromDynamics(dc, shards)
+	if err != nil {
+		return nil, nil, err
+	}
+	scfg.Workers = dc.Workers
+	se, err := shard.NewEngine(scfg, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ShardEngine(se), append([]float64(nil), se.InitialStep().HitRatio...), nil
+}
+
 // RunGallery runs one gallery scenario through the unsharded dynamics
-// engine. The driver owns the mobility population (the engine runs in
-// ExternalMobility mode, exactly as the shard layer drives its cells) so
-// that scenario events can be injected at checkpoint boundaries: outages
-// and recoveries thread SetServersDown deltas through the evaluator and
-// force a Replace, demand revisions rebind probability rows and flow
-// through ApplyExternal's mass-only path, and library grows rebuild the
-// engine over the widened instance at the current user positions — with
-// the current down set re-applied first, so the grown t = 0 solve is over
-// the reduced server set too.
-func RunGallery(cfg GalleryConfig) (*GalleryResult, error) {
+// engine. On a failed event or checkpoint the result holds the steps
+// before it, next to the error.
+func RunGallery(cfg GalleryConfig) (*GalleryResult, error) { return runGallery(cfg, false) }
+
+// RunGallerySharded runs one gallery scenario through the sharded engine
+// at cfg.Shards cells, over a coordinator instance of the active library.
+// Errors are reported as RunGallery's are.
+func RunGallerySharded(cfg GalleryConfig) (*GalleryResult, error) { return runGallery(cfg, true) }
+
+// runGallery is the gallery driver: it builds the chosen engine over the
+// active library prefix and replays the timeline through it. Fault events
+// go through ApplyEvent. A grow event hands the engine a wider instance
+// built at its current positions (GrowLibrary), with the live demand blend
+// applied. Demand events take effect at the checkpoint's refresh: after
+// all of the checkpoint's events, every user's probability row is rebound
+// to the latest blend once and the users are queued through
+// ReviseUserMass, so a re-placement forced at the same checkpoint sees the
+// same demand in both engines. On error the result holds the steps
+// completed before the failing checkpoint.
+func runGallery(cfg GalleryConfig, sharded bool) (*GalleryResult, error) {
 	s, err := newGallerySetup(cfg)
 	if err != nil {
 		return nil, err
 	}
 	cfg = s.cfg // defaults filled
-	root := rng.New(cfg.Seed)
 	active := cfg.Models
-	ins, awork, err := s.activeInstance(s.topo, active, false)
-	if err != nil {
-		return nil, err
-	}
-	// liveCaps tracks per-server live storage budgets across degrade and
-	// regional events. It doubles as the engine's Capacities (copied at
-	// construction), so a grow-rebuilt engine solves its t = 0 placement
-	// over the degraded budgets while BaselineCapacities keeps the pristine
-	// restore targets — mirroring the shard layer's cell rebuild.
-	liveCaps := append([]int64(nil), s.caps...)
-	dcfg := dynamics.Config{
-		Instance:           ins,
-		Capacities:         liveCaps,
-		BaselineCapacities: s.caps,
-		Tracks:             s.tracks,
-		DurationMin:        cfg.DurationMin,
-		CheckpointMin:      cfg.CheckpointMin,
-		SlotS:              cfg.SlotS,
-		Realizations:       cfg.Realizations,
-		Workers:            cfg.Workers,
-		Mode:               cfg.Mode,
-		ExternalMobility:   true,
-	}
-	eng, err := dynamics.NewEngine(dcfg, root)
-	if err != nil {
-		return nil, err
-	}
-	pop, err := mobility.NewPopulation(s.topo.Area(), s.topo.UserPositions(), root.Split("mobility"))
-	if err != nil {
-		return nil, err
-	}
-	walkSrc := root.Split("walk")
-	K := cfg.Users
-	allUsers := make([]int, K)
-	for k := range allUsers {
-		allUsers[k] = k
-	}
-	positions := make([]geom.Point, K)
-	pop.PositionsInto(positions)
 	demand := newDemandState(s.master, s.itot)
-	var currentDown []int
-
-	checkpoints := cfg.DurationMin / cfg.CheckpointMin
-	slots := int(float64(cfg.CheckpointMin*60)/cfg.SlotS + 0.5)
-	res := &GalleryResult{Scenario: cfg.Name, Steps: make([]GalleryStep, 0, checkpoints+1)}
-	res.Steps = append(res.Steps, GalleryStep{TimeMin: 0, HitRatio: eng.Baseline(0)})
-	replacements := 0
-	recoveryCp := -1
-
-	for cp := 1; cp <= checkpoints; cp++ {
-		var labels []string
-		var massRev []int
-		forced := false
-		for _, ev := range cfg.Timeline.at(cp) {
-			switch ev.Kind {
-			case EventOutage, EventRecovery:
-				down := ev.Kind == EventOutage
-				if down && res.PreOutageHit == 0 {
-					res.PreOutageHit = res.Steps[len(res.Steps)-1].HitRatio
-				}
-				if !down {
-					recoveryCp = cp
-				}
-				if err := eng.SetServersDown(ev.Servers, down); err != nil {
-					return nil, err
-				}
-				currentDown = eng.Instance().DownServers()
-				if _, err := eng.Replace(0, cp); err != nil {
-					return nil, err
-				}
-				forced = true
-			case EventDemand:
-				demand.set(ev)
-				if err := demand.apply(awork, active); err != nil {
-					return nil, err
-				}
-				massRev = allUsers
-			case EventGrow:
-				active += ev.Models
-				topoNow, err := s.topo.WithUserPositions(positions)
-				if err != nil {
-					return nil, err
-				}
-				grown, gwork, err := s.activeInstance(topoNow, active, false)
-				if err != nil {
-					return nil, err
-				}
-				if err := demand.apply(gwork, active); err != nil {
-					return nil, err
-				}
-				if len(currentDown) > 0 {
-					if _, err := grown.SetServersDown(currentDown, true); err != nil {
-						return nil, err
-					}
-				}
-				// Re-apply live degradations so the grown t = 0 solve is over
-				// the reduced budgets too (capacities are bits at the
-				// scenario seam, bytes everywhere above).
-				for m, b := range liveCaps {
-					if b != s.caps[m] {
-						if _, err := grown.SetServerCapacity(m, 8*b); err != nil {
-							return nil, err
-						}
-					}
-				}
-				replacements += eng.Replacements(0) + 1
-				dcfg.Instance = grown
-				eng, err = dynamics.NewEngine(dcfg, root)
-				if err != nil {
-					return nil, err
-				}
-				awork = gwork
-				forced = true
-			case EventDegrade:
-				if ev.CapacityBytes > 0 && res.PreOutageHit == 0 {
-					res.PreOutageHit = res.Steps[len(res.Steps)-1].HitRatio
-				}
-				if ev.CapacityBytes < 0 {
-					recoveryCp = cp
-				}
-				for _, m := range ev.Servers {
-					if err := eng.SetServerCapacity(m, ev.CapacityBytes); err != nil {
-						return nil, err
-					}
-					liveCaps[m] = eng.ServerCapacityBytes(m)
-				}
-				if _, err := eng.Replace(0, cp); err != nil {
-					return nil, err
-				}
-				forced = true
-			case EventRegional:
-				servers, err := eng.ServersInRegion(*ev.Region)
-				if err != nil {
-					return nil, err
-				}
-				if ev.CapacityBytes >= 0 && res.PreOutageHit == 0 {
-					res.PreOutageHit = res.Steps[len(res.Steps)-1].HitRatio
-				}
-				if ev.CapacityBytes < 0 {
-					recoveryCp = cp
-				}
-				switch {
-				case ev.CapacityBytes == 0:
-					if err := eng.SetServersDown(servers, true); err != nil {
-						return nil, err
-					}
-				case ev.CapacityBytes < 0:
-					if err := eng.SetServersDown(servers, false); err != nil {
-						return nil, err
-					}
-					for _, m := range servers {
-						if err := eng.SetServerCapacity(m, -1); err != nil {
-							return nil, err
-						}
-						liveCaps[m] = eng.ServerCapacityBytes(m)
-					}
-				default:
-					for _, m := range servers {
-						if err := eng.SetServerCapacity(m, ev.CapacityBytes); err != nil {
-							return nil, err
-						}
-						liveCaps[m] = ev.CapacityBytes
-					}
-				}
-				currentDown = eng.Instance().DownServers()
-				if _, err := eng.Replace(0, cp); err != nil {
-					return nil, err
-				}
-				forced = true
-			}
-			labels = append(labels, eventLabel(ev, active))
-		}
-		for sl := 0; sl < slots; sl++ {
-			if err := pop.Step(cfg.SlotS, walkSrc); err != nil {
-				return nil, err
-			}
-		}
-		pop.PositionsInto(positions)
-		if err := eng.ApplyExternal(nil, massRev, allUsers, positions); err != nil {
-			return nil, err
-		}
-		st, err := eng.Step(cp)
-		if err != nil {
-			return nil, err
-		}
-		res.Steps = append(res.Steps, GalleryStep{
-			TimeMin:  st.TimeMin,
-			HitRatio: st.HitRatio[0],
-			Replaced: st.Replaced[0] || forced,
-			Events:   labels,
-		})
-	}
-	res.Replacements = replacements + eng.Replacements(0)
-	res.FinalModels = active
-	finishGallery(res, cfg, recoveryCp)
-	return res, nil
-}
-
-// RunGallerySharded runs the same gallery scenario through the sharded
-// engine: the global instance is a coordinator over the active library
-// prefix, outages map onto cell-local SetServersDown with a forced
-// all-cell replace, demand revisions swap global rows and queue through
-// ReviseUserMass, and library grows hand the engine a widened coordinator
-// instance (GrowLibrary) rebuilt at the engine's current positions.
-func RunGallerySharded(cfg GalleryConfig) (*GalleryResult, error) {
-	s, err := newGallerySetup(cfg)
+	ins, awork, err := s.activeInstance(s.topo, active, sharded, demand)
 	if err != nil {
 		return nil, err
 	}
-	cfg = s.cfg
-	active := cfg.Models
-	ins, awork, err := s.activeInstance(s.topo, active, true)
-	if err != nil {
-		return nil, err
+	shards := 0
+	if sharded {
+		shards = cfg.Shards
 	}
-	scfg := shard.Config{
+	eng, t0, err := NewEngine(dynamics.Config{
 		Instance:      ins,
 		Capacities:    s.caps,
 		Tracks:        s.tracks,
@@ -858,123 +787,59 @@ func RunGallerySharded(cfg GalleryConfig) (*GalleryResult, error) {
 		CheckpointMin: cfg.CheckpointMin,
 		SlotS:         cfg.SlotS,
 		Realizations:  cfg.Realizations,
-		Mode:          cfg.Mode,
-		Shards:        cfg.Shards,
 		Workers:       cfg.Workers,
-	}
-	se, err := shard.NewEngine(scfg, rng.New(cfg.Seed))
+		Mode:          cfg.Mode,
+	}, shards, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
-	K := cfg.Users
-	allUsers := make([]int, K)
+	allUsers := make([]int, cfg.Users)
 	for k := range allUsers {
 		allUsers[k] = k
 	}
-	demand := newDemandState(s.master, s.itot)
 
-	checkpoints := cfg.DurationMin / cfg.CheckpointMin
-	res := &GalleryResult{Scenario: cfg.Name, Sharded: true, Steps: make([]GalleryStep, 0, checkpoints+1)}
-	step0 := se.InitialStep()
-	res.Steps = append(res.Steps, GalleryStep{TimeMin: 0, HitRatio: step0.HitRatio[0]})
+	res := &GalleryResult{Scenario: cfg.Name, Sharded: sharded, Steps: make([]GalleryStep, 0, eng.Checkpoints()+1)}
+	res.Steps = append(res.Steps, GalleryStep{TimeMin: 0, HitRatio: t0[0]})
 	recoveryCp := -1
-
-	for cp := 1; cp <= checkpoints; cp++ {
+	for cp := 1; cp <= eng.Checkpoints(); cp++ {
 		var labels []string
-		forced := false
-		for _, ev := range cfg.Timeline.at(cp) {
+		forced, revised := false, false
+		for _, ev := range cfg.Timeline.At(cp) {
 			switch ev.Kind {
-			case EventOutage, EventRecovery:
-				down := ev.Kind == EventOutage
-				if down && res.PreOutageHit == 0 {
-					res.PreOutageHit = res.Steps[len(res.Steps)-1].HitRatio
-				}
-				if !down {
-					recoveryCp = cp
-				}
-				if err := se.SetServersDown(ev.Servers, down); err != nil {
-					return nil, err
-				}
-				if err := se.ForceReplace(cp); err != nil {
-					return nil, err
-				}
-				forced = true
 			case EventDemand:
 				demand.set(ev)
-				if err := demand.apply(awork, active); err != nil {
-					return nil, err
-				}
-				if err := se.ReviseUserMass(allUsers); err != nil {
-					return nil, err
-				}
+				revised = true
 			case EventGrow:
 				active += ev.Models
-				topoNow, err := s.topo.WithUserPositions(se.Positions())
-				if err != nil {
-					return nil, err
-				}
-				grown, gwork, err := s.activeInstance(topoNow, active, true)
-				if err != nil {
-					return nil, err
-				}
-				if err := demand.apply(gwork, active); err != nil {
-					return nil, err
-				}
-				if err := se.GrowLibrary(grown); err != nil {
-					return nil, err
-				}
-				awork = gwork
+				awork, err = s.grow(eng, active, sharded, demand)
 				forced = true
-			case EventDegrade:
-				if ev.CapacityBytes > 0 && res.PreOutageHit == 0 {
+			default:
+				fault, recovery := faultEdge(ev)
+				if fault && res.PreOutageHit == 0 {
 					res.PreOutageHit = res.Steps[len(res.Steps)-1].HitRatio
 				}
-				if ev.CapacityBytes < 0 {
+				if recovery {
 					recoveryCp = cp
 				}
-				for _, m := range ev.Servers {
-					if err := se.SetServerCapacity(m, ev.CapacityBytes); err != nil {
-						return nil, err
-					}
-				}
-				if err := se.ForceReplace(cp); err != nil {
-					return nil, err
-				}
+				err = ApplyEvent(eng, ev, cp)
 				forced = true
-			case EventRegional:
-				if ev.CapacityBytes >= 0 && res.PreOutageHit == 0 {
-					res.PreOutageHit = res.Steps[len(res.Steps)-1].HitRatio
-				}
-				if ev.CapacityBytes < 0 {
-					recoveryCp = cp
-				}
-				switch {
-				case ev.CapacityBytes == 0:
-					if err := se.SetRegionDown(*ev.Region, true); err != nil {
-						return nil, err
-					}
-				case ev.CapacityBytes < 0:
-					if err := se.SetRegionDown(*ev.Region, false); err != nil {
-						return nil, err
-					}
-					if err := se.DegradeRegion(*ev.Region, -1); err != nil {
-						return nil, err
-					}
-				default:
-					if err := se.DegradeRegion(*ev.Region, ev.CapacityBytes); err != nil {
-						return nil, err
-					}
-				}
-				if err := se.ForceReplace(cp); err != nil {
-					return nil, err
-				}
-				forced = true
+			}
+			if err != nil {
+				return res, fmt.Errorf("gallery: checkpoint %d: %w", cp, err)
 			}
 			labels = append(labels, eventLabel(ev, active))
 		}
-		st, err := se.Checkpoint(cp)
+		if revised {
+			if err = demand.apply(awork, active); err == nil {
+				err = eng.ReviseUserMass(allUsers)
+			}
+			if err != nil {
+				return res, fmt.Errorf("gallery: checkpoint %d: %w", cp, err)
+			}
+		}
+		st, err := eng.Checkpoint(cp)
 		if err != nil {
-			return nil, err
+			return res, fmt.Errorf("gallery: checkpoint %d: %w", cp, err)
 		}
 		res.Steps = append(res.Steps, GalleryStep{
 			TimeMin:  st.TimeMin,
@@ -983,10 +848,29 @@ func RunGallerySharded(cfg GalleryConfig) (*GalleryResult, error) {
 			Events:   labels,
 		})
 	}
-	res.Replacements = se.Replacements(0)
+	res.Replacements = eng.Replacements(0)
 	res.FinalModels = active
-	res.Handoffs = se.Handoffs()
-	res.Grows = se.Grows()
+	if se, ok := eng.(shardEngine); ok {
+		res.Handoffs, res.Grows = se.Handoffs(), se.Grows()
+	}
 	finishGallery(res, cfg, recoveryCp)
 	return res, nil
+}
+
+// grow hands eng an instance over the first active models, built at the
+// engine's current user positions with the live demand blend applied, and
+// returns the instance's workload — the one later demand events rewrite.
+func (s *gallerySetup) grow(eng Engine, active int, coordinator bool, demand *demandState) (*workload.Workload, error) {
+	topo, err := s.topo.WithUserPositions(eng.Positions())
+	if err != nil {
+		return nil, err
+	}
+	grown, work, err := s.activeInstance(topo, active, coordinator, demand)
+	if err != nil {
+		return nil, err
+	}
+	if err := eng.GrowLibrary(grown); err != nil {
+		return nil, err
+	}
+	return work, nil
 }

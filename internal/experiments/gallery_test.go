@@ -3,11 +3,13 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"trimcaching/internal/dynamics"
+	"trimcaching/internal/geom"
 )
 
 // galleryGolden is the checked-in artifact for one scenario: the full
@@ -175,14 +177,119 @@ func TestGalleryShardsOneMatchesUnsharded(t *testing.T) {
 				t.Fatal(err)
 			}
 			un, sh := runGalleryPair(t, cfg)
-			assertGalleryEqual(t, "shards=1 steps vs unsharded", sh.Steps, un.Steps)
-			if sh.Replacements != un.Replacements {
-				t.Errorf("shards=1 made %d replacements, unsharded %d", sh.Replacements, un.Replacements)
-			}
-			if sh.PreOutageHit != un.PreOutageHit || sh.RecoveryCheckpoints != un.RecoveryCheckpoints {
-				t.Errorf("shards=1 recovery (pre %v, %d checkpoints), unsharded (pre %v, %d checkpoints)",
-					sh.PreOutageHit, sh.RecoveryCheckpoints, un.PreOutageHit, un.RecoveryCheckpoints)
-			}
+			assertLegsMatch(t, un, sh)
 		})
 	}
+}
+
+// assertLegsMatch requires a one-cell sharded run to reproduce the
+// unsharded run's steps, replacement count and recovery.
+func assertLegsMatch(t *testing.T, un, sh *GalleryResult) {
+	t.Helper()
+	assertGalleryEqual(t, "shards=1 steps vs unsharded", sh.Steps, un.Steps)
+	if sh.Replacements != un.Replacements || sh.PreOutageHit != un.PreOutageHit || sh.RecoveryCheckpoints != un.RecoveryCheckpoints {
+		t.Fatalf("shards=1 made %d replacements, recovery (pre %v, %d checkpoints); unsharded %d, (pre %v, %d checkpoints)",
+			sh.Replacements, sh.PreOutageHit, sh.RecoveryCheckpoints, un.Replacements, un.PreOutageHit, un.RecoveryCheckpoints)
+	}
+}
+
+// fuzzGalleryConfig is the tiny deployment FuzzGalleryTimeline runs: four
+// servers with room for the foundation and three adapters each, four
+// checkpoints, one cell on the sharded leg.
+func fuzzGalleryConfig() GalleryConfig {
+	cfg := DefaultGalleryConfig()
+	cfg.Name = "fuzz"
+	cfg.Servers, cfg.Users, cfg.Models, cfg.ReserveModels = 4, 40, 10, 4
+	cfg.CapacityBytes = 2_030_000_000
+	cfg.DurationMin = 40
+	cfg.Realizations = 2
+	cfg.Shards = 1
+	return cfg
+}
+
+// fuzzBudgets are the storage budgets a fuzzed degrade or regional event
+// picks from: restore, blackout (regional only; a degrade rejects it),
+// brownouts around the 2 GB foundation, and one past the byte limit.
+var fuzzBudgets = []int64{-1, 0, 1_990_000_000, 2_000_000_000, galleryDegradeBytes, 2_060_000_000, 1 << 62}
+
+// decodeTimeline reads up to six events from data, four bytes each:
+// checkpoint, kind, and two parameter bytes.
+func decodeTimeline(data []byte, cfg GalleryConfig) Timeline {
+	kinds := []EventKind{EventOutage, EventRecovery, EventDemand, EventGrow, EventDegrade, EventRegional}
+	checkpoints := cfg.DurationMin / cfg.CheckpointMin
+	side := gallerySideM(cfg.Servers)
+	var tl Timeline
+	for i := 0; i+4 <= len(data) && len(tl.Events) < 6; i += 4 {
+		b := data[i : i+4]
+		ev := Event{Checkpoint: 1 + int(b[0])%checkpoints, Kind: kinds[int(b[1])%len(kinds)]}
+		switch ev.Kind {
+		case EventOutage, EventRecovery, EventDegrade:
+			for m := 0; m < cfg.Servers; m++ {
+				if b[2]&(1<<m) != 0 {
+					ev.Servers = append(ev.Servers, m)
+				}
+			}
+			ev.CapacityBytes = fuzzBudgets[int(b[3])%len(fuzzBudgets)]
+		case EventDemand:
+			ev.HotModel = int(b[2])%(cfg.Models+1) - 1
+			ev.Weight = float64(b[3]%11) / 10
+			ev.MassScale = float64(b[3]/11%4) / 2
+		case EventGrow:
+			ev.Models = 1 + int(b[2])%3
+		case EventRegional:
+			x, y := float64(b[2]&3)*side/3, float64(b[2]>>2&3)*side/3
+			r := geom.DiskRegion(x, y, float64(1+b[2]>>4&3)*side/4)
+			if b[2]&0x40 != 0 {
+				r = geom.RectRegion(x/2, y/2, x/2+side/2, y/2+side/2)
+			}
+			ev.Region = &r
+			ev.CapacityBytes = fuzzBudgets[int(b[3])%len(fuzzBudgets)]
+		}
+		tl.Events = append(tl.Events, ev)
+	}
+	return tl
+}
+
+// rootCause returns the innermost error of a wrap chain.
+func rootCause(err error) error {
+	for {
+		inner := errors.Unwrap(err)
+		if inner == nil {
+			return err
+		}
+		err = inner
+	}
+}
+
+// FuzzGalleryTimeline drives random short timelines through both gallery
+// legs — the unsharded engine and the sharded engine at one cell — and
+// requires identical steps, replacements, and recovery, or the same error
+// at the same checkpoint.
+func FuzzGalleryTimeline(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg := fuzzGalleryConfig()
+		cfg.Timeline = decodeTimeline(data, cfg)
+		if cfg.Validate() != nil {
+			return
+		}
+		un, unErr := RunGallery(cfg)
+		sh, shErr := RunGallerySharded(cfg)
+		if unErr != nil || shErr != nil {
+			if unErr == nil || shErr == nil {
+				t.Fatalf("only one leg failed: unsharded %v, sharded %v", unErr, shErr)
+			}
+			steps := func(r *GalleryResult) int {
+				if r == nil {
+					return -1
+				}
+				return len(r.Steps)
+			}
+			if steps(un) != steps(sh) || rootCause(unErr).Error() != rootCause(shErr).Error() {
+				t.Fatalf("legs failed differently: unsharded after %d steps (%v), sharded after %d steps (%v)",
+					steps(un), unErr, steps(sh), shErr)
+			}
+			return
+		}
+		assertLegsMatch(t, un, sh)
+	})
 }

@@ -1,8 +1,11 @@
 // This file is the chaos soak: randomized fault schedules replayed through
-// the unsharded engine (where per-checkpoint engine invariants are
-// asserted) and cross-checked bit-identical against a Rebuild-mode /
-// multi-worker replica, the Shards = 1 sharded engine, and a multi-cell
-// sharded engine at two worker counts.
+// five engine variants by one loop, which applies every event with the
+// gallery's experiments.ApplyEvent (so each event forces a re-placement,
+// as in the gallery). The unsharded primary asserts the per-checkpoint
+// engine invariants through a hook; its timeline is cross-checked
+// bit-identical against a Rebuild-mode / multi-worker replica and the
+// Shards = 1 sharded engine, and a multi-cell sharded engine is checked
+// against itself at two worker counts.
 package faults
 
 import (
@@ -12,7 +15,6 @@ import (
 	"trimcaching/internal/experiments"
 	"trimcaching/internal/placement"
 	"trimcaching/internal/rng"
-	"trimcaching/internal/shard"
 )
 
 // SoakConfig parameterizes RunSoak.
@@ -50,9 +52,10 @@ type SoakReport struct {
 // RunSoak draws Schedules fault schedules and replays each through five
 // engines: the invariant-checked primary (Incremental, one worker), a
 // Rebuild-mode four-worker replica, the Shards = 1 sharded engine, and a
-// multi-cell sharded engine at one and four workers. All five hit-ratio
-// timelines must be bit-identical; any invariant violation or divergence
-// is an error naming the schedule and checkpoint.
+// multi-cell sharded engine at one and four workers. The primary, the
+// replica, and the Shards = 1 timelines must be bit-identical, and so must
+// the multi-cell engine's two; any invariant violation or divergence is an
+// error naming the schedule and checkpoint.
 func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	if cfg.NewBase == nil {
 		return nil, fmt.Errorf("faults: NewBase is required")
@@ -82,185 +85,104 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 			}
 		}
 		engSeed := src.Split("engine").Uint64()
-
-		primary, err := replayDynamics(cfg.NewBase, engSeed, tl, dynamics.Incremental, 1, rep)
-		if err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
+		variants := []variant{
+			{label: "primary", mode: dynamics.Incremental, workers: 1, against: -1},
+			{label: "rebuild/4-worker vs primary", mode: dynamics.Rebuild, workers: 4, against: 0},
+			{label: "shards=1 vs primary", shards: 1, workers: 1, against: 0},
+			{label: fmt.Sprintf("shards=%d 1-worker", shards), shards: shards, workers: 1, against: -1},
+			{label: fmt.Sprintf("shards=%d 4-worker vs 1-worker", shards), shards: shards, workers: 4, against: 3},
 		}
-		rebuild, err := replayDynamics(cfg.NewBase, engSeed, tl, dynamics.Rebuild, 4, nil)
-		if err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
-		}
-		if err := sameTimelines("rebuild/4-worker vs primary", rebuild, primary); err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
-		}
-		single, err := replayShard(cfg.NewBase, engSeed, tl, 1, 1)
-		if err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
-		}
-		if err := sameTimelines("shards=1 vs primary", single, primary); err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
-		}
-		multi1, err := replayShard(cfg.NewBase, engSeed, tl, shards, 1)
-		if err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
-		}
-		multi4, err := replayShard(cfg.NewBase, engSeed, tl, shards, 4)
-		if err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
-		}
-		if err := sameTimelines(fmt.Sprintf("shards=%d 4-worker vs 1-worker", shards), multi4, multi1); err != nil {
-			return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
+		timelines := make([][][]float64, len(variants))
+		for i, v := range variants {
+			checked := rep
+			if i > 0 {
+				checked = nil
+			}
+			steps, err := replayVariant(cfg.NewBase, engSeed, tl, v, checked)
+			if err != nil {
+				return nil, fmt.Errorf("faults: schedule %d: %s: %w", n, v.label, err)
+			}
+			if v.against >= 0 {
+				if err := sameTimelines(v.label, steps, timelines[v.against]); err != nil {
+					return nil, fmt.Errorf("faults: schedule %d: %w", n, err)
+				}
+			}
+			timelines[i] = steps
 		}
 	}
 	return rep, nil
 }
 
-// eventsAt returns the schedule's events firing at checkpoint cp, in
-// schedule order (mirroring the gallery's replay order).
-func eventsAt(tl experiments.Timeline, cp int) []experiments.Event {
-	var evs []experiments.Event
-	for _, ev := range tl.Events {
-		if ev.Checkpoint == cp {
-			evs = append(evs, ev)
-		}
-	}
-	return evs
+// variant is one engine configuration a schedule replays through: the
+// unsharded engine in the given mode when shards is 0, otherwise the
+// sharded engine at that cell count (in the base deployment's mode). Its
+// timeline must equal that of the variant at index against, if any (-1).
+type variant struct {
+	label   string
+	mode    dynamics.Mode
+	shards  int
+	workers int
+	against int
 }
 
-// replayDynamics drives one unsharded engine through the schedule and
-// returns its per-checkpoint hit ratios (per track, including t = 0). A
-// non-nil report enables the per-checkpoint invariant suite.
-func replayDynamics(newBase func() (dynamics.Config, error), seed uint64, tl experiments.Timeline, mode dynamics.Mode, workers int, rep *SoakReport) ([][]float64, error) {
+// replayVariant builds the variant over a fresh base deployment and
+// replays the schedule through it. A non-nil report enables the
+// per-checkpoint invariant suite on an unsharded variant.
+func replayVariant(newBase func() (dynamics.Config, error), seed uint64, tl experiments.Timeline, v variant, rep *SoakReport) ([][]float64, error) {
 	base, err := newBase()
 	if err != nil {
 		return nil, err
 	}
-	base.Mode = mode
-	base.Workers = workers
-	eng, err := dynamics.NewEngine(base, rng.New(seed))
+	if v.shards == 0 {
+		base.Mode = v.mode
+	}
+	base.Workers = v.workers
+	eng, t0, err := experiments.NewEngine(base, v.shards, rng.New(seed))
 	if err != nil {
 		return nil, err
 	}
-	tracks := len(base.Tracks)
-	var eval *placement.Evaluator
-	var mass0 float64
-	if rep != nil {
-		if eval, err = placement.NewEvaluator(eng.Instance()); err != nil {
-			return nil, err
-		}
-		mass0 = eng.Instance().TotalMass()
-	}
-	t0 := make([]float64, tracks)
-	for a := range t0 {
-		t0[a] = eng.Baseline(a)
-	}
-	steps := [][]float64{t0}
-	for cp := 1; cp <= eng.Checkpoints(); cp++ {
-		faulted := false
-		for _, ev := range eventsAt(tl, cp) {
-			if err := applyDynamics(eng, ev); err != nil {
-				return nil, fmt.Errorf("checkpoint %d: %w", cp, err)
-			}
-			faulted = true
-		}
-		if faulted {
-			for a := 0; a < tracks; a++ {
-				if _, err := eng.Replace(a, cp); err != nil {
-					return nil, fmt.Errorf("checkpoint %d: %w", cp, err)
-				}
-			}
-		}
-		if err := eng.Advance(); err != nil {
-			return nil, err
-		}
-		if err := eng.Refresh(); err != nil {
-			return nil, err
-		}
-		st, err := eng.Step(cp)
+	var check func() error
+	if primary, ok := eng.(*dynamics.Engine); ok && rep != nil {
+		eval, err := placement.NewEvaluator(primary.Instance())
 		if err != nil {
 			return nil, err
 		}
-		steps = append(steps, append([]float64(nil), st.HitRatio...))
-		if rep != nil {
-			if err := verifyInvariants(eng, eval, tracks, mass0); err != nil {
-				return nil, fmt.Errorf("checkpoint %d: %w", cp, err)
+		mass0 := primary.Instance().TotalMass()
+		check = func() error {
+			if err := verifyInvariants(primary, eval, len(base.Tracks), mass0); err != nil {
+				return err
 			}
 			rep.CheckedCheckpoints++
+			return nil
 		}
 	}
-	return steps, nil
+	return replay(eng, t0, tl, check)
 }
 
-// replayShard drives one sharded engine through the same schedule.
-func replayShard(newBase func() (dynamics.Config, error), seed uint64, tl experiments.Timeline, shards, workers int) ([][]float64, error) {
-	base, err := newBase()
-	if err != nil {
-		return nil, err
-	}
-	scfg, err := shard.FromDynamics(base, shards)
-	if err != nil {
-		return nil, err
-	}
-	scfg.Workers = workers
-	scfg.MeasureWorkers = workers
-	se, err := shard.NewEngine(scfg, rng.New(seed))
-	if err != nil {
-		return nil, err
-	}
-	steps := [][]float64{append([]float64(nil), se.InitialStep().HitRatio...)}
-	for cp := 1; cp <= se.Checkpoints(); cp++ {
-		faulted := false
-		for _, ev := range eventsAt(tl, cp) {
-			if err := applyShard(se, ev); err != nil {
-				return nil, fmt.Errorf("checkpoint %d: %w", cp, err)
-			}
-			faulted = true
-		}
-		if faulted {
-			if err := se.ForceReplace(cp); err != nil {
+// replay drives one engine through the schedule — every event through
+// experiments.ApplyEvent, so each one forces a re-placement, the gallery's
+// cadence — and returns its per-checkpoint hit ratios (per track,
+// including t = 0). A non-nil check runs after every checkpoint.
+func replay(eng experiments.Engine, t0 []float64, tl experiments.Timeline, check func() error) ([][]float64, error) {
+	steps := [][]float64{append([]float64(nil), t0...)}
+	for cp := 1; cp <= eng.Checkpoints(); cp++ {
+		for _, ev := range tl.At(cp) {
+			if err := experiments.ApplyEvent(eng, ev, cp); err != nil {
 				return nil, fmt.Errorf("checkpoint %d: %w", cp, err)
 			}
 		}
-		st, err := se.Checkpoint(cp)
+		st, err := eng.Checkpoint(cp)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("checkpoint %d: %w", cp, err)
 		}
 		steps = append(steps, append([]float64(nil), st.HitRatio...))
+		if check != nil {
+			if err := check(); err != nil {
+				return nil, fmt.Errorf("checkpoint %d: %w", cp, err)
+			}
+		}
 	}
 	return steps, nil
-}
-
-// applyDynamics replays one regional event on the unsharded engine, with
-// the gallery's semantics: 0 is a blackout, negative recovers and restores,
-// positive is a brownout budget.
-func applyDynamics(eng *dynamics.Engine, ev experiments.Event) error {
-	switch {
-	case ev.CapacityBytes == 0:
-		return eng.SetRegionDown(*ev.Region, true)
-	case ev.CapacityBytes < 0:
-		if err := eng.SetRegionDown(*ev.Region, false); err != nil {
-			return err
-		}
-		return eng.DegradeRegion(*ev.Region, -1)
-	default:
-		return eng.DegradeRegion(*ev.Region, ev.CapacityBytes)
-	}
-}
-
-// applyShard replays one regional event on the sharded engine.
-func applyShard(se *shard.Engine, ev experiments.Event) error {
-	switch {
-	case ev.CapacityBytes == 0:
-		return se.SetRegionDown(*ev.Region, true)
-	case ev.CapacityBytes < 0:
-		if err := se.SetRegionDown(*ev.Region, false); err != nil {
-			return err
-		}
-		return se.DegradeRegion(*ev.Region, -1)
-	default:
-		return se.DegradeRegion(*ev.Region, ev.CapacityBytes)
-	}
 }
 
 // verifyInvariants asserts the engine invariants on the primary replica at

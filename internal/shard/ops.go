@@ -102,29 +102,12 @@ func (e *Engine) SetServerCapacity(m int, bytes int64) error {
 	return fmt.Errorf("shard: server %d owned by no cell", m)
 }
 
-// ServersInRegion returns the ascending list of global servers whose
-// position the region contains — the failure domain of a correlated
-// regional event, identical to the unsharded engine's selector.
-func (e *Engine) ServersInRegion(r geom.Region) ([]int, error) {
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	topo := e.cfg.Instance.Topology()
-	var list []int
-	for m := 0; m < topo.NumServers(); m++ {
-		if r.Contains(topo.ServerPos(m)) {
-			list = append(list, m)
-		}
-	}
-	return list, nil
-}
-
 // SetRegionDown takes every server in the region out of (or back into)
 // service in one correlated event. An empty region is a no-op.
 func (e *Engine) SetRegionDown(r geom.Region, down bool) error {
-	servers, err := e.ServersInRegion(r)
+	servers, err := e.cfg.Instance.Topology().ServersInRegion(r)
 	if err != nil {
-		return err
+		return fmt.Errorf("shard: %w", err)
 	}
 	if len(servers) == 0 {
 		return nil
@@ -137,12 +120,12 @@ func (e *Engine) SetRegionDown(r geom.Region, down bool) error {
 // validated before any server changes, so a rejected call leaves the whole
 // region untouched.
 func (e *Engine) DegradeRegion(r geom.Region, bytes int64) error {
-	if bytes > dynamics.MaxServerCapacityBytes {
-		return fmt.Errorf("shard: capacity %d bytes exceeds the %d-byte limit", bytes, int64(dynamics.MaxServerCapacityBytes))
+	if err := dynamics.CheckCapacityBytes(bytes); err != nil {
+		return fmt.Errorf("shard: %w", err)
 	}
-	servers, err := e.ServersInRegion(r)
+	servers, err := e.cfg.Instance.Topology().ServersInRegion(r)
 	if err != nil {
-		return err
+		return fmt.Errorf("shard: %w", err)
 	}
 	for _, m := range servers {
 		if err := e.SetServerCapacity(m, bytes); err != nil {

@@ -4,8 +4,12 @@ import (
 	"testing"
 
 	"trimcaching/internal/dynamics"
+	"trimcaching/internal/geom"
+	"trimcaching/internal/libgen"
 	"trimcaching/internal/rng"
 	"trimcaching/internal/scenario"
+	"trimcaching/internal/topology"
+	"trimcaching/internal/workload"
 )
 
 // driveOutageTimeline runs a sharded smoke timeline with an outage before
@@ -103,36 +107,152 @@ func TestShardOutageAcrossCellsDeterministic(t *testing.T) {
 	}
 }
 
-// TestGrowLibraryRejectsBadInstances pins GrowLibrary's input contract.
+// growEngine is the library-growth surface both engines share.
+type growEngine interface {
+	GrowLibrary(ins *scenario.Instance) error
+	ReviseUserMass(users []int) error
+	Positions() []geom.Point
+}
+
+// smokeDeployment builds an instance over the smoke deployment's first
+// servers, users, and models, with the users at pos.
+func smokeDeployment(t *testing.T, servers, users, models int, pos []geom.Point) *scenario.Instance {
+	t.Helper()
+	dc, err := dynamics.NewSmokeScaleConfig(dynamics.Incremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := dc.Instance
+	gt := ref.Topology()
+	serverPts := make([]geom.Point, servers)
+	for m := range serverPts {
+		serverPts[m] = gt.ServerPos(m)
+	}
+	topo, err := topology.New(gt.Area(), serverPts, pos[:users], gt.CoverageRadius())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, work := ref.Library(), ref.Workload()
+	if users < ref.NumUsers() || models < ref.NumModels() {
+		ids := make([]int, models)
+		for i := range ids {
+			ids[i] = i
+		}
+		if lib, err = libgen.Subset(lib, ids); err != nil {
+			t.Fatal(err)
+		}
+		if work, err = workload.NewAliased(users, models); err != nil {
+			t.Fatal(err)
+		}
+		gw := ref.Workload()
+		for k := 0; k < users; k++ {
+			if err := work.SetUserRows(k, gw.ProbRow(k)[:models], gw.DeadlineRow(k)[:models], gw.InferRow(k)[:models]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ins, err := scenario.New(topo, lib, work, ref.Wireless())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ins
+}
+
+// TestGrowLibraryRejectsBadInstances pins GrowLibrary's and
+// ReviseUserMass's input contract on both engines: a grow at checkpoint 1,
+// before any walk, is accepted at the construction-time positions; after a
+// walk, a nil instance, a wrong server or user count, a shrunken library,
+// an instance at stale positions, and out-of-range mass revisions are all
+// rejected with the engine unchanged — its positions and its next
+// checkpoint match a twin that never saw the bad calls.
 func TestGrowLibraryRejectsBadInstances(t *testing.T) {
-	cfg := smokeShardConfig(t, 2, 1, dynamics.Incremental)
-	se, err := NewEngine(cfg, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
+	engines := []struct {
+		name  string
+		build func(t *testing.T) (growEngine, func(cp int) []float64)
+	}{
+		{"unsharded", func(t *testing.T) (growEngine, func(int) []float64) {
+			dc, err := dynamics.NewSmokeScaleConfig(dynamics.Incremental)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := dynamics.NewEngine(dc, rng.New(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e, func(cp int) []float64 {
+				st, err := e.Checkpoint(cp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return append([]float64(nil), st.HitRatio...)
+			}
+		}},
+		{"sharded", func(t *testing.T) (growEngine, func(int) []float64) {
+			se, err := NewEngine(smokeShardConfig(t, 2, 1, dynamics.Incremental), rng.New(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return se, func(cp int) []float64 {
+				st, err := se.Checkpoint(cp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return append([]float64(nil), st.HitRatio...)
+			}
+		}},
 	}
-	if err := se.GrowLibrary(nil); err == nil {
-		t.Error("nil instance accepted")
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			e, step := eng.build(t)
+			twin, twinStep := eng.build(t)
+			start := e.Positions()
+			M, K, I := 4, len(start), 40 // the smoke deployment's servers, users, models
+			for _, g := range []growEngine{e, twin} {
+				if err := g.GrowLibrary(smokeDeployment(t, M, K, I, g.Positions())); err != nil {
+					t.Fatalf("grow before any walk rejected: %v", err)
+				}
+			}
+			sameHits(t, "checkpoint 1 after the first grow", step(1), twinStep(1))
+
+			pos := e.Positions()
+			bad := []struct {
+				label string
+				ins   *scenario.Instance
+			}{
+				{"nil instance", nil},
+				{"wrong server count", smokeDeployment(t, M-1, K, I, pos)},
+				{"wrong user count", smokeDeployment(t, M, K-1, I, pos)},
+				{"fewer models", smokeDeployment(t, M, K, I-1, pos)},
+				{"stale positions", smokeDeployment(t, M, K, I, start)},
+			}
+			for _, b := range bad {
+				if err := e.GrowLibrary(b.ins); err == nil {
+					t.Errorf("%s accepted", b.label)
+				}
+			}
+			for _, users := range [][]int{{-1}, {K}, {0, K}} {
+				if err := e.ReviseUserMass(users); err == nil {
+					t.Errorf("mass revision of users %v accepted", users)
+				}
+			}
+			for k, p := range e.Positions() {
+				if p != pos[k] {
+					t.Fatalf("rejected calls moved user %d from %v to %v", k, pos[k], p)
+				}
+			}
+			sameHits(t, "checkpoint 2 after rejected calls", step(2), twinStep(2))
+			if err := e.GrowLibrary(smokeDeployment(t, M, K, I, e.Positions())); err != nil {
+				t.Errorf("same-size relocated instance rejected: %v", err)
+			}
+		})
 	}
-	// An instance at the wrong user positions must be rejected: the cells
-	// bind slots to the engine's tracked walk, not the instance's draw.
-	if _, err := se.Checkpoint(1); err != nil {
-		t.Fatal(err)
-	}
-	stale := cfg.Instance
-	if err := se.GrowLibrary(stale); err == nil {
-		t.Error("instance at stale positions accepted after a walk")
-	}
-	// Same positions but a shrunken library must be rejected.
-	gt := stale.Topology()
-	topoNow, err := gt.WithUserPositions(se.Positions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved, err := scenario.New(topoNow, stale.Library(), stale.Workload(), stale.Wireless())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := se.GrowLibrary(moved); err != nil {
-		t.Errorf("same-size relocated instance rejected: %v", err)
+}
+
+func sameHits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	for a := range want {
+		if got[a] != want[a] {
+			t.Fatalf("%s: track %d hit ratio %v, want %v", label, a, got[a], want[a])
+		}
 	}
 }

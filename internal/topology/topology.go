@@ -355,6 +355,21 @@ func (t *Topology) CoverageRadius() float64 { return t.radius }
 // ServerPos returns the position of server m.
 func (t *Topology) ServerPos(m int) geom.Point { return t.servers[m] }
 
+// ServersInRegion returns the ascending list of servers whose position the
+// region contains — the failure domain of a correlated regional event.
+func (t *Topology) ServersInRegion(r geom.Region) ([]int, error) {
+	if err := r.Validate(); err != nil {
+		return nil, fmt.Errorf("topology: %w", err)
+	}
+	var list []int
+	for m, p := range t.servers {
+		if r.Contains(p) {
+			list = append(list, m)
+		}
+	}
+	return list, nil
+}
+
 // UserPos returns the position of user k.
 func (t *Topology) UserPos(k int) geom.Point { return t.users[k] }
 
