@@ -9,15 +9,14 @@ import (
 	"trimcaching/internal/scenario"
 )
 
-// degradedConfig is testConfig with per-server capacity overrides applied
-// both at the solver level (Capacities) and the instance level
-// (SetServerCapacity) — the state a cold engine would be built over.
+// degradedConfig is testConfig over an instance carrying per-server
+// capacity overrides (SetServerCapacity), with Capacities left at the
+// configured budgets — the state a cold engine would be built over. The
+// engine derives its live budgets from the instance.
 func degradedConfig(t *testing.T, ins *scenario.Instance, caps map[int]int64, mode Mode, workers int) Config {
 	t.Helper()
 	cfg := testConfig(ins, nil, mode, workers)
-	cfg.Capacities = append([]int64(nil), cfg.Capacities...)
 	for m, bytes := range caps {
-		cfg.Capacities[m] = bytes
 		if _, err := ins.SetServerCapacity(m, 8*bytes); err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +30,9 @@ func degradedConfig(t *testing.T, ins *scenario.Instance, caps map[int]int64, mo
 // outright) while server 2 shrinks to a budget every model fits alone (pure
 // solver-level eviction pressure, reachability untouched). A warm Replace
 // must reproduce an engine built cold at the reduced capacities, stay
-// feasible under them, and a restore must reproduce the pristine solve.
+// feasible under them, and a restore — of the warm engine and of the cold
+// one, whose restore target is the configured budget, not the one it was
+// built at — must reproduce the pristine solve.
 func TestDegradeRepairMatchesColdSolve(t *testing.T) {
 	shrunk := map[int]int64{0: 60 << 20, 2: 200 << 20}
 
@@ -64,27 +65,34 @@ func TestDegradeRepairMatchesColdSolve(t *testing.T) {
 		t.Fatalf("live capacity of server 0 is %d, want %d", got, 60<<20)
 	}
 
+	if got := cold.ServerCapacityBytes(0); got != 60<<20 {
+		t.Fatalf("cold engine's live capacity of server 0 is %d, want %d", got, 60<<20)
+	}
+
 	// Restore: capacities return to the configured values and the budget
 	// state leaves the instance, so a forced replace matches a
 	// never-degraded cold solve.
-	for m := range shrunk {
-		if err := warm.SetServerCapacity(m, -1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := warm.ServerCapacityBytes(0); got != 1<<30 {
-		t.Fatalf("restored capacity of server 0 is %d, want %d", got, 1<<30)
-	}
-	for a := range warm.cfg.Tracks {
-		if _, err := warm.Replace(a, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
 	pristine, err := NewEngine(testConfig(testInstance(t, 42), nil, Incremental, 1), rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, e := range []*Engine{warm, cold} {
+		for m := range shrunk {
+			if err := e.SetServerCapacity(m, -1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := e.ServerCapacityBytes(0); got != 1<<30 {
+			t.Fatalf("restored capacity of server 0 is %d, want %d", got, 1<<30)
+		}
+		for a := range e.cfg.Tracks {
+			if _, err := e.Replace(a, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	assertPlacementsEqual(t, "post-restore replace vs pristine solve", warm, pristine)
+	assertPlacementsEqual(t, "cold post-restore replace vs pristine solve", cold, pristine)
 }
 
 // TestRegionalFailureMatchesServerList pins the failure-domain selector and

@@ -124,15 +124,11 @@ type Config struct {
 	// engine mutates it in place; pass a private instance (or rebuild one
 	// with Instance.Rebuild) when the caller needs the original afterwards.
 	Instance *scenario.Instance
-	// Capacities is the per-server storage budget.
+	// Capacities is the configured per-server storage budget: the budget
+	// of every server the instance does not degrade, and the target
+	// SetServerCapacity restores to. A server the instance already carries
+	// a budget for (Instance.ServerCapacityBits) starts at that budget.
 	Capacities []int64
-	// BaselineCapacities, when set, is the configured (pristine) per-server
-	// budget SetServerCapacity restores to; nil means Capacities. Callers
-	// rebuilding an engine mid-degradation (the shard layer's grow path)
-	// pass the already-degraded budgets as Capacities — so the t = 0 solve
-	// respects them — and the pristine ones here, so a later restore does
-	// not resurrect the degraded value as the configured one.
-	BaselineCapacities []int64
 	// Tracks are the algorithms evaluated side by side on identical
 	// mobility and fading draws.
 	Tracks []Track
@@ -172,9 +168,6 @@ func (c Config) Validate() error {
 	}
 	if len(c.Capacities) != c.Instance.NumServers() {
 		return fmt.Errorf("dynamics: %d capacities for %d servers", len(c.Capacities), c.Instance.NumServers())
-	}
-	if c.BaselineCapacities != nil && len(c.BaselineCapacities) != len(c.Capacities) {
-		return fmt.Errorf("dynamics: %d baseline capacities for %d servers", len(c.BaselineCapacities), len(c.Capacities))
 	}
 	if len(c.Tracks) == 0 {
 		return fmt.Errorf("dynamics: at least one track is required")
@@ -243,8 +236,7 @@ type Engine struct {
 	baselines  []float64
 	accPairs   []bitset.Set // per track: reach pairs changed since its last solve
 
-	caps  []int64 // live per-server capacities (SetServerCapacity mutates)
-	caps0 []int64 // pristine configured capacities (restore target)
+	caps []int64 // live per-server capacities (SetServerCapacity mutates)
 
 	measureSrc   rng.Source // per-checkpoint stream, reseeded in place
 	stepHit      []float64  // reused Step buffers; valid until the next Step
@@ -288,7 +280,6 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 		positions:          ins.Topology().UserPositions(),
 		baselines:          make([]float64, len(cfg.Tracks)),
 		caps:               append([]int64(nil), cfg.Capacities...),
-		caps0:              append([]int64(nil), caps0(cfg)...),
 		stepHit:            make([]float64, len(cfg.Tracks)),
 		stepReplaced:       make([]bool, len(cfg.Tracks)),
 		slotsPerCheckpoint: int(float64(cfg.CheckpointMin*60)/cfg.SlotS + 0.5),
@@ -297,6 +288,11 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 	}
 	for k := range e.allUsers {
 		e.allUsers[k] = k
+	}
+	for m := range e.caps {
+		if bits := ins.ServerCapacityBits(m); bits >= 0 {
+			e.caps[m] = bits / 8
+		}
 	}
 	if err := e.install(ins, measure); err != nil {
 		return nil, err
@@ -336,14 +332,6 @@ func (e *Engine) install(ins *scenario.Instance, meas Measurement) error {
 	e.placements, e.accPairs = placements, accPairs
 	copy(e.baselines, base)
 	return nil
-}
-
-// caps0 returns the configured capacity vector restores target.
-func caps0(cfg Config) []int64 {
-	if cfg.BaselineCapacities != nil {
-		return cfg.BaselineCapacities
-	}
-	return cfg.Capacities
 }
 
 // Instance returns the engine's current instance (the configured one in
@@ -558,21 +546,10 @@ func (e *Engine) ForceReplace(cp int) error {
 	return nil
 }
 
-// GrowLibrary swaps in an instance over a grown model library (and the
-// matching wider workload) mid-timeline: library churn. The instance must
-// describe the same deployment — same servers, same users at the engine's
-// current Positions — with at least the current model count; any other
-// instance is rejected with the engine unchanged. The live down set and
-// degraded budgets are re-applied to it, then every track is solved from
-// scratch and re-baselined exactly as NewEngine over that instance with
-// the engine's own source would; each growth re-solve counts as one
-// re-placement. The engine keeps its mobility population, walk stream,
-// replacement counts, and queued mass revisions. Call between checkpoints.
-func (e *Engine) GrowLibrary(ins *scenario.Instance) error {
-	if e.pop == nil {
-		return fmt.Errorf("dynamics: engine is externally driven (ExternalMobility); its driver rebuilds it")
-	}
-	old := e.ins
+// CheckGrownInstance is the grown-instance contract both engines'
+// GrowLibrary enforce: ins must describe the same deployment as old — same
+// servers, same users at positions — with at least old's model count.
+func CheckGrownInstance(old, ins *scenario.Instance, positions []geom.Point) error {
 	if ins == nil {
 		return fmt.Errorf("dynamics: a replacement instance is required")
 	}
@@ -585,25 +562,36 @@ func (e *Engine) GrowLibrary(ins *scenario.Instance) error {
 			ins.NumModels(), old.NumModels())
 	}
 	for k, p := range ins.Topology().UserPositions() {
-		if p != e.positions[k] {
-			return fmt.Errorf("dynamics: grown instance's user %d is at %v, engine tracks %v", k, p, e.positions[k])
+		if p != positions[k] {
+			return fmt.Errorf("dynamics: grown instance's user %d is at %v, engine tracks %v", k, p, positions[k])
 		}
+	}
+	return nil
+}
+
+// GrowLibrary swaps in an instance over a grown model library (and the
+// matching wider workload) mid-timeline: library churn. The instance must
+// pass CheckGrownInstance against the current instance and Positions; any
+// other instance is rejected with the engine unchanged. The live down set
+// and degraded budgets are copied onto it (Instance.CopyFaults), then
+// every track is solved from scratch and re-baselined exactly as NewEngine
+// over that instance with the engine's own source would; each growth
+// re-solve counts as one re-placement. The engine keeps its mobility
+// population, walk stream, replacement counts, and queued mass revisions.
+// Call between checkpoints.
+func (e *Engine) GrowLibrary(ins *scenario.Instance) error {
+	if e.pop == nil {
+		return fmt.Errorf("dynamics: engine is externally driven (ExternalMobility); its driver rebuilds it")
+	}
+	if err := CheckGrownInstance(e.ins, ins, e.positions); err != nil {
+		return err
 	}
 	meas, err := freshMeasurement(e.measure)
 	if err != nil {
 		return err
 	}
-	if down := old.DownServers(); len(down) > 0 {
-		if _, err := ins.SetServersDown(down, true); err != nil {
-			return fmt.Errorf("dynamics: %w", err)
-		}
-	}
-	for m := 0; m < old.NumServers(); m++ {
-		if bits := old.ServerCapacityBits(m); bits >= 0 {
-			if _, err := ins.SetServerCapacity(m, bits); err != nil {
-				return fmt.Errorf("dynamics: %w", err)
-			}
-		}
+	if err := ins.CopyFaults(e.ins); err != nil {
+		return fmt.Errorf("dynamics: %w", err)
 	}
 	if err := e.install(ins, meas); err != nil {
 		return err
@@ -654,7 +642,7 @@ func (e *Engine) SetServerCapacity(m int, bytes int64) error {
 	if err := CheckCapacityBytes(bytes); err != nil {
 		return err
 	}
-	budget, budgetBits := e.caps0[m], int64(-1)
+	budget, budgetBits := e.cfg.Capacities[m], int64(-1)
 	if bytes >= 0 {
 		budget, budgetBits = bytes, 8*bytes
 	}
@@ -954,7 +942,7 @@ func (e *Engine) MemoryFootprint() memprof.Footprint {
 	if m, ok := e.measure.(interface{ MemoryBytes() int64 }); ok {
 		f.Measurement += m.MemoryBytes()
 	}
-	f.Scratch += int64(cap(e.caps))*8 + int64(cap(e.caps0))*8
+	f.Scratch += int64(cap(e.caps)) * 8
 	f.Scratch += int64(cap(e.allUsers))*8 + int64(cap(e.positions))*16
 	f.Scratch += int64(cap(e.movedSeen)) + int64(cap(e.baselines))*8
 	f.Scratch += int64(cap(e.stepHit))*8 + int64(cap(e.stepReplaced))

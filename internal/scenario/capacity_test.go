@@ -274,8 +274,11 @@ func TestSetServerCapacityFusedKernel(t *testing.T) {
 // TestOutageCapacityInterleaving is the randomized robustness property:
 // SetServersDown and SetServerCapacity interleaved with user movement, in
 // randomized orders, pinning the instance bit-identical to a cold build of
-// the same state after every step — and a full restore at the end is a
-// bit-exact round trip back to a pristine build.
+// the same state after every step — both through Rebuild and through a
+// fault-free build handed the faults by CopyFaults — and a full restore at
+// the end is a bit-exact round trip back to a pristine build. CopyFaults
+// across a different server count is rejected with the destination
+// untouched.
 func TestOutageCapacityInterleaving(t *testing.T) {
 	ins, area, users := capacityFixture(t)
 	pristine, err := ins.Rebuild(users)
@@ -320,6 +323,38 @@ func TestOutageCapacityInterleaving(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameInstanceState(t, fmt.Sprintf("step %d", step), ins, cold)
+		copied, err := pristine.Rebuild(pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := copied.CopyFaults(ins); err != nil {
+			t.Fatal(err)
+		}
+		sameInstanceState(t, fmt.Sprintf("step %d: CopyFaults", step), ins, copied)
+	}
+
+	// A destination over fewer servers is rejected before any fault lands.
+	if len(ins.DownServers()) == 0 && len(ins.CapacityLimitedServers()) == 0 {
+		t.Fatal("degenerate schedule: no fault active to copy")
+	}
+	servers := make([]geom.Point, M-1)
+	for m := range servers {
+		servers[m] = ins.Topology().ServerPos(m)
+	}
+	topo, err := topology.New(area, servers, pos, ins.Topology().CoverageRadius())
+	if err != nil {
+		t.Fatal(err)
+	}
+	smaller, err := New(topo, ins.Library(), ins.Workload(), ins.Wireless())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := smaller.Generation()
+	if err := smaller.CopyFaults(ins); err == nil {
+		t.Error("CopyFaults across a server-count mismatch accepted")
+	}
+	if len(smaller.DownServers()) != 0 || len(smaller.CapacityLimitedServers()) != 0 || smaller.Generation() != gen {
+		t.Error("rejected CopyFaults touched the destination")
 	}
 
 	// Full restore: every server back up and unconstrained, users back at

@@ -76,7 +76,14 @@ func sameInstanceState(t *testing.T, label string, got, want *Instance) {
 		}
 	}
 	for m := 0; m < M; m++ {
+		if got.ServerDown(m) != want.ServerDown(m) || got.ServerCapacityBits(m) != want.ServerCapacityBits(m) {
+			t.Fatalf("%s: server %d down %v budget %d bits, want down %v budget %d bits", label, m,
+				got.ServerDown(m), got.ServerCapacityBits(m), want.ServerDown(m), want.ServerCapacityBits(m))
+		}
 		for i := 0; i < I; i++ {
+			if got.CapBlocked(m, i) != want.CapBlocked(m, i) {
+				t.Fatalf("%s: capacity block (%d,%d) differs", label, m, i)
+			}
 			// Zero-mass users are untracked in the inverted index (their
 			// bits may lag the reach rows), so compare the masks bit by bit
 			// for mass-carrying users and through the mass sums overall.

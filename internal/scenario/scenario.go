@@ -477,23 +477,37 @@ func (ins *Instance) Rebuild(users []geom.Point) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Outages survive rebuilds: the rebuild-mode engine pin (Incremental ==
-	// Rebuild) holds through SetServersDown only if the fresh instance
-	// carries the same down set.
-	if downList := ins.DownServers(); len(downList) > 0 {
-		if _, err := fresh.SetServersDown(downList, true); err != nil {
-			return nil, err
+	// Faults survive rebuilds: the rebuild-mode engine pin (Incremental ==
+	// Rebuild) holds through outages and degradations only if the fresh
+	// instance carries the same down set and budgets.
+	if err := fresh.CopyFaults(ins); err != nil {
+		return nil, err
+	}
+	return fresh, nil
+}
+
+// CopyFaults applies src's down set and per-server storage budgets to ins,
+// a freshly built instance over the same servers — the one path by which
+// outages and degradations survive every rebuild (Rebuild, library growth,
+// shard cell rebuilds). A server-count mismatch is rejected with ins
+// untouched; a fault-free src leaves ins untouched too.
+func (ins *Instance) CopyFaults(src *Instance) error {
+	if src.NumServers() != ins.NumServers() {
+		return fmt.Errorf("scenario: copying faults of %d servers onto %d", src.NumServers(), ins.NumServers())
+	}
+	if down := src.DownServers(); len(down) > 0 {
+		if _, err := ins.SetServersDown(down, true); err != nil {
+			return err
 		}
 	}
-	// Capacity degradations survive rebuilds the same way.
-	for m, bits := range ins.capBits {
+	for m, bits := range src.capBits {
 		if bits >= 0 {
-			if _, err := fresh.SetServerCapacity(m, bits); err != nil {
-				return nil, err
+			if _, err := ins.SetServerCapacity(m, bits); err != nil {
+				return err
 			}
 		}
 	}
-	return fresh, nil
+	return nil
 }
 
 // UpdateUsers moves user moved[j] to pos[j] and incrementally refreshes the

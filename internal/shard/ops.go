@@ -19,10 +19,11 @@ import (
 // service. Each server belongs to exactly one cell — outages follow the
 // server partition, not user ownership — so the operation becomes one
 // scenario-level SetServersDown per affected cell, threaded through that
-// cell's evaluator and warm-start state like any refresh. The down set is
-// remembered per cell and re-applied whenever the cell is rebuilt (grows,
-// library growth), so outages survive rebuilds. Call between checkpoints;
-// the caller decides when placements react (typically ForceReplace).
+// cell's evaluator and warm-start state like any refresh. The cell
+// instance is the down set's only record; every cell rebuild (grows,
+// library growth) copies it onto the fresh instance, so outages survive
+// rebuilds. Call between checkpoints; the caller decides when placements
+// react (typically ForceReplace).
 func (e *Engine) SetServersDown(servers []int, down bool) error {
 	M := e.cfg.Instance.NumServers()
 	for _, m := range servers {
@@ -45,19 +46,6 @@ func (e *Engine) SetServersDown(servers []int, down bool) error {
 		if err := sh.eng.SetServersDown(local, down); err != nil {
 			return fmt.Errorf("shard: cell %d: %w", sh.id, err)
 		}
-		if down {
-			merged := append(sh.downLocal, local...)
-			sort.Ints(merged)
-			sh.downLocal = dedupInts(merged)
-		} else {
-			kept := sh.downLocal[:0]
-			for _, j := range sh.downLocal {
-				if !containsInt(local, j) {
-					kept = append(kept, j)
-				}
-			}
-			sh.downLocal = kept
-		}
 	}
 	return nil
 }
@@ -66,11 +54,13 @@ func (e *Engine) SetServersDown(servers []int, down bool) error {
 // budget in bytes (negative restores its configured capacity). Each server
 // belongs to exactly one cell, so the operation becomes one engine-level
 // SetServerCapacity against that cell's local index, threaded through the
-// cell's evaluator and warm-start state like any refresh. The override is
-// remembered per cell and re-applied whenever the cell is rebuilt (grows,
-// library growth), so degradations survive rebuilds. Call between
-// checkpoints; the caller decides when placements react (typically
-// ForceReplace — a degradation trigger never fires on a restore).
+// cell's evaluator and warm-start state like any refresh. The cell
+// instance is the override's only record; every cell rebuild (grows,
+// library growth) copies it onto the fresh instance, and the rebuilt
+// engine derives its live budget from it, so degradations survive
+// rebuilds. Call between checkpoints; the caller decides when placements
+// react (typically ForceReplace — a degradation trigger never fires on a
+// restore).
 func (e *Engine) SetServerCapacity(m int, bytes int64) error {
 	M := e.cfg.Instance.NumServers()
 	if m < 0 || m >= M {
@@ -84,19 +74,6 @@ func (e *Engine) SetServerCapacity(m int, bytes int64) error {
 		if err := sh.eng.SetServerCapacity(j, bytes); err != nil {
 			return fmt.Errorf("shard: cell %d: %w", sh.id, err)
 		}
-		if bytes < 0 {
-			if sh.capLocal != nil {
-				sh.capLocal[j] = -1
-			}
-			return nil
-		}
-		if sh.capLocal == nil {
-			sh.capLocal = make([]int64, len(sh.servers))
-			for x := range sh.capLocal {
-				sh.capLocal[x] = -1
-			}
-		}
-		sh.capLocal[j] = bytes
 		return nil
 	}
 	return fmt.Errorf("shard: server %d owned by no cell", m)
@@ -133,23 +110,6 @@ func (e *Engine) DegradeRegion(r geom.Region, bytes int64) error {
 		}
 	}
 	return nil
-}
-
-// dedupInts removes adjacent duplicates from a sorted slice, in place.
-func dedupInts(s []int) []int {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// containsInt reports whether sorted slice s contains v.
-func containsInt(s []int, v int) bool {
-	j := sort.SearchInts(s, v)
-	return j < len(s) && s[j] == v
 }
 
 // ForceReplace re-places every track in every cell on the current cell
@@ -191,34 +151,21 @@ func (e *Engine) ReviseUserMass(users []int) error {
 // library (and the matching wider workload) and rebuilds every cell over
 // it at the current user positions: mid-timeline library churn, the shard
 // layer's grow-on-overflow path generalized to a coordinated all-cell
-// rebuild. The new instance must describe the same deployment — same
-// servers, same users at the engine's current positions — with NumModels
-// at least the old count; a coordinator instance (scenario.NewCoordinator)
-// is the intended shape, exactly as at construction. Placement columns of
-// retained models are re-solved from scratch per cell (counted into each
-// track's replacement totals); per-cell down sets are re-applied. Call
-// between checkpoints: the rebuilt cells keep absorbing the next
-// checkpoint's walk normally.
+// rebuild. The new instance must pass dynamics.CheckGrownInstance against
+// the current global instance and positions and carry no shadowing; a
+// coordinator instance (scenario.NewCoordinator) is the intended shape,
+// exactly as at construction. Placement columns of retained models are
+// re-solved from scratch per cell (counted into each track's replacement
+// totals); each cell's down set and degraded budgets carry over from its
+// retiring instance (scenario.Instance.CopyFaults). Call between
+// checkpoints: the rebuilt cells keep absorbing the next checkpoint's walk
+// normally.
 func (e *Engine) GrowLibrary(newIns *scenario.Instance) error {
-	old := e.cfg.Instance
-	if newIns == nil {
-		return fmt.Errorf("shard: a replacement instance is required")
+	if err := dynamics.CheckGrownInstance(e.cfg.Instance, newIns, e.positions); err != nil {
+		return fmt.Errorf("shard: %w", err)
 	}
 	if newIns.Shadowed() {
 		return fmt.Errorf("shard: shadowed instances are not shardable (per-link gains are index-keyed)")
-	}
-	if newIns.NumServers() != old.NumServers() || newIns.NumUsers() != old.NumUsers() {
-		return fmt.Errorf("shard: grown instance is %dx%d servers x users, want %dx%d",
-			newIns.NumServers(), newIns.NumUsers(), old.NumServers(), old.NumUsers())
-	}
-	if newIns.NumModels() < old.NumModels() {
-		return fmt.Errorf("shard: grown instance has %d models, fewer than the current %d",
-			newIns.NumModels(), old.NumModels())
-	}
-	for k, p := range newIns.Topology().UserPositions() {
-		if p != e.positions[k] {
-			return fmt.Errorf("shard: grown instance's user %d is at %v, engine tracks %v", k, p, e.positions[k])
-		}
 	}
 	if e.cfg.Shards > 1 {
 		newIns.EnsureRankIndex()

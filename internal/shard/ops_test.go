@@ -21,13 +21,6 @@ func driveOutageTimeline(t *testing.T, cfg Config, seed uint64, downed []int) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	copyStep := func(st Step) Step {
-		return Step{
-			TimeMin:  st.TimeMin,
-			HitRatio: append([]float64(nil), st.HitRatio...),
-			Replaced: append([]bool(nil), st.Replaced...),
-		}
-	}
 	steps := []Step{copyStep(se.InitialStep())}
 	for cp := 1; cp <= se.Checkpoints(); cp++ {
 		if cp == 1 || cp == 2 {

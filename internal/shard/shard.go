@@ -286,20 +286,6 @@ type cell struct {
 	free  []int32 // free-slot stack
 	local int     // bound slots
 
-	// downLocal lists the cell's out-of-service servers (local indices,
-	// ascending). Maintained by Engine.SetServersDown and re-applied on
-	// every rebuild, so outages survive grows.
-	downLocal []int
-
-	// capLocal maps local server index -> degraded storage budget in bytes,
-	// -1 when the server runs at its configured capacity. nil until the
-	// first degradation touches the cell. Maintained by
-	// Engine.SetServerCapacity and re-applied on every rebuild — both to
-	// the fresh cell instance and to the rebuilt engine's live capacity
-	// vector — so partial-capacity degradations survive grows while the
-	// pristine caps stay the restore target.
-	capLocal []int64
-
 	// Per-checkpoint batches, built by the serial plan phase and consumed
 	// by the parallel refresh. pending* deduplicate by slot with an epoch
 	// stamp: a slot parked and rebound in the same checkpoint keeps one
@@ -629,29 +615,13 @@ func (e *Engine) buildCell(sh *cell, locals []int) error {
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
-	// Outages survive rebuilds: re-apply the cell's down set before the
-	// engine's t = 0 solve, so a grown cell's initial placement is already
-	// over the reduced server set.
-	if len(sh.downLocal) > 0 {
-		if _, err := cellIns.SetServersDown(sh.downLocal, true); err != nil {
+	// Faults survive rebuilds: the retiring engine's instance hands its
+	// down set and degraded budgets to the fresh one before the t = 0
+	// solve, so a grown cell is solved over the reduced servers and
+	// budgets, while the pristine caps stay the restore target.
+	if sh.eng != nil {
+		if err := cellIns.CopyFaults(sh.eng.Instance()); err != nil {
 			return fmt.Errorf("shard: cell %d: %w", sh.id, err)
-		}
-	}
-	// Degradations survive rebuilds the same way: the fresh instance gets
-	// the reduced budgets before the engine's t = 0 solve, the engine solves
-	// over the degraded capacity vector, and the pristine caps ride along as
-	// the restore target.
-	liveCaps := sh.caps
-	if sh.capLocal != nil {
-		liveCaps = append([]int64(nil), sh.caps...)
-		for j, bytes := range sh.capLocal {
-			if bytes < 0 {
-				continue
-			}
-			liveCaps[j] = bytes
-			if _, err := cellIns.SetServerCapacity(j, 8*bytes); err != nil {
-				return fmt.Errorf("shard: cell %d: %w", sh.id, err)
-			}
 		}
 	}
 	measureWorkers := e.cfg.MeasureWorkers
@@ -722,18 +692,17 @@ func (e *Engine) buildCell(sh *cell, locals []int) error {
 		meas = tm
 	}
 	eng, err := dynamics.NewEngine(dynamics.Config{
-		Instance:           cellIns,
-		Capacities:         liveCaps,
-		BaselineCapacities: sh.caps,
-		Tracks:             tracks,
-		DurationMin:        e.cfg.DurationMin,
-		CheckpointMin:      e.cfg.CheckpointMin,
-		SlotS:              e.cfg.SlotS,
-		Realizations:       e.cfg.Realizations,
-		Workers:            measureWorkers,
-		Mode:               e.cfg.Mode,
-		Measurement:        meas,
-		ExternalMobility:   true,
+		Instance:         cellIns,
+		Capacities:       sh.caps,
+		Tracks:           tracks,
+		DurationMin:      e.cfg.DurationMin,
+		CheckpointMin:    e.cfg.CheckpointMin,
+		SlotS:            e.cfg.SlotS,
+		Realizations:     e.cfg.Realizations,
+		Workers:          measureWorkers,
+		Mode:             e.cfg.Mode,
+		Measurement:      meas,
+		ExternalMobility: true,
 	}, sh.src)
 	if err != nil {
 		return fmt.Errorf("shard: cell %d: %w", sh.id, err)
@@ -1333,7 +1302,6 @@ func (e *Engine) MemoryFootprint() memprof.Footprint {
 		f.Add(sh.eng.MemoryFootprint())
 		var cellScratch int64
 		cellScratch += int64(cap(sh.servers))*8 + int64(cap(sh.serverPts))*16 + int64(cap(sh.caps))*8
-		cellScratch += int64(cap(sh.downLocal))*8 + int64(cap(sh.capLocal))*8
 		cellScratch += int64(cap(sh.slots)+cap(sh.free)+cap(sh.pendingMove)+cap(sh.moveEpoch)+cap(sh.revEpoch)) * 4
 		cellScratch += int64(cap(sh.revTouch)+cap(sh.revised)+cap(sh.massOnly)+cap(sh.moved)) * 8
 		cellScratch += int64(cap(sh.revLevel)) + int64(cap(sh.overflow))*4

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"trimcaching/internal/dynamics"
@@ -149,6 +150,101 @@ func TestGrow(t *testing.T) {
 		t.Errorf("grows diverged: %d vs %d", inc.Grows, reb.Grows)
 	}
 	t.Logf("grows=%d handoffs=%d", inc.Grows, inc.Handoffs)
+}
+
+// TestGrowKeepsFaults pins fault state across slot-table overflow grows:
+// with one server down and another degraded, the overflowing cell's
+// rebuilt instance must still report the outage and the capacity block,
+// its engine must run at the degraded budget, and a restore afterwards
+// must return the configured capacity — with Incremental and Rebuild cell
+// refresh bit-identical throughout.
+func TestGrowKeepsFaults(t *testing.T) {
+	const down, degraded = 0, 1 // both owned by the cell that overflows
+	const budget = 4 << 30
+	var want []Step
+	for _, mode := range []dynamics.Mode{dynamics.Incremental, dynamics.Rebuild} {
+		cfg := smokeShardConfig(t, 2, 2, mode)
+		cfg.SlotHeadroom = 1e-9
+		cfg.DurationMin = 80
+		se, err := NewEngine(cfg, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := se.SetServersDown([]int{down}, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := se.SetServerCapacity(degraded, budget); err != nil {
+			t.Fatal(err)
+		}
+		if err := se.ForceReplace(1); err != nil {
+			t.Fatal(err)
+		}
+		owner, jDown := ownerCell(t, se, down)
+		degOwner, jDeg := ownerCell(t, se, degraded)
+		if degOwner != owner {
+			t.Fatalf("servers %d and %d are owned by different cells", down, degraded)
+		}
+		retiring := owner.eng
+		var steps []Step
+		checkpoint := func(cp int) {
+			st, err := se.Checkpoint(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps = append(steps, copyStep(st))
+		}
+		cp := 1
+		for ; owner.eng == retiring; cp++ {
+			if cp > se.Checkpoints() {
+				t.Fatalf("mode %d: the faulted cell never grew", int(mode))
+			}
+			checkpoint(cp)
+		}
+		ins := owner.eng.Instance()
+		if !ins.ServerDown(jDown) {
+			t.Errorf("mode %d: grown cell lost the outage of server %d", int(mode), down)
+		}
+		if !ins.CapBlocked(jDeg, 0) {
+			t.Errorf("mode %d: grown cell lost the capacity block of server %d", int(mode), degraded)
+		}
+		if got := owner.eng.ServerCapacityBytes(jDeg); got != budget {
+			t.Errorf("mode %d: grown cell's live capacity is %d, want %d", int(mode), got, budget)
+		}
+
+		if err := se.SetServersDown([]int{down}, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := se.SetServerCapacity(degraded, -1); err != nil {
+			t.Fatal(err)
+		}
+		if owner.eng.Instance().ServerDown(jDown) {
+			t.Errorf("mode %d: server %d still down after recovery", int(mode), down)
+		}
+		if got := owner.eng.ServerCapacityBytes(jDeg); got != cfg.Capacities[degraded] {
+			t.Errorf("mode %d: restored capacity is %d, want the configured %d", int(mode), got, cfg.Capacities[degraded])
+		}
+		if err := se.ForceReplace(cp); err != nil {
+			t.Fatal(err)
+		}
+		checkpoint(cp)
+		if want == nil {
+			want = steps
+		} else {
+			sameSteps(t, "grown faults: rebuild vs incremental", steps, want)
+		}
+	}
+}
+
+// ownerCell returns the cell owning global server m and m's local index.
+func ownerCell(t *testing.T, se *Engine, m int) (*cell, int) {
+	t.Helper()
+	for _, sh := range se.cells {
+		if j := sort.SearchInts(sh.servers, m); j < len(sh.servers) && sh.servers[j] == m {
+			return sh, j
+		}
+	}
+	t.Fatalf("server %d owned by no cell", m)
+	return nil, 0
 }
 
 func TestMakeGrid(t *testing.T) {
