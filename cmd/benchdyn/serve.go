@@ -200,30 +200,17 @@ func serveSweep(stdout io.Writer, scen *serveScenario, users, servers, models in
 	if err != nil {
 		return serveRun{}, nil, err
 	}
-	tm := eng.TraceMeasurement()
-	unshardedStep := func(cp int) (cachesim.EventResult, error) {
-		if err := eng.Advance(); err != nil {
-			return cachesim.EventResult{}, err
-		}
-		if err := eng.Refresh(); err != nil {
-			return cachesim.EventResult{}, err
-		}
-		if _, err := eng.Step(cp); err != nil {
-			return cachesim.EventResult{}, err
-		}
-		return tm.LastResults()[0], nil
-	}
-	if _, err := unshardedStep(1); err != nil { // warm-up: flip index build
+	if _, err := eng.Checkpoint(1); err != nil { // warm-up
 		return serveRun{}, nil, err
 	}
 	var us serveStats
 	for cp := 2; cp <= checkpoints+1; cp++ {
 		start := time.Now()
-		res, err := unshardedStep(cp)
+		st, err := eng.Checkpoint(cp)
 		if err != nil {
 			return serveRun{}, nil, err
 		}
-		us.add(res, time.Since(start), cp == 2)
+		us.add(st.Serve[0], time.Since(start), cp == 2)
 	}
 	un := us.row(0, workers, checkpoints)
 	un.Speedup = 1

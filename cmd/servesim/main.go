@@ -349,100 +349,63 @@ func runMobility(stdout io.Writer, ins *scenario.Instance, alg placement.Algorit
 	} else if opt.threshold > 0 {
 		trigger = dynamics.ThresholdTrigger{Degradation: opt.threshold}
 	}
-	type timeline struct {
-		timeMin  []float64
-		hit      []float64
-		replaced []bool
-		serve    []cachesim.EventResult
-		count    int
-		extra    string
+	dc := dynamics.Config{
+		Instance:      ins,
+		Capacities:    caps,
+		Tracks:        []dynamics.Track{{Algorithm: alg, Trigger: trigger}},
+		DurationMin:   opt.durationMin,
+		CheckpointMin: opt.checkpointMin,
+		SlotS:         5,
+		Realizations:  opt.realizations,
+		Mode:          mode,
+		Measurement:   measurement,
 	}
-	var tl timeline
+	var steps []dynamics.Step
+	var replacements int
+	extra := ""
 	if opt.shards > 1 {
-		cfg := shard.Config{
-			Instance:      ins,
-			Capacities:    caps,
-			Tracks:        []dynamics.Track{{Algorithm: alg, Trigger: trigger}},
-			DurationMin:   opt.durationMin,
-			CheckpointMin: opt.checkpointMin,
-			SlotS:         5,
-			Realizations:  opt.realizations,
-			Mode:          mode,
-			Shards:        opt.shards,
-		}
-		if opt.traceDriven {
-			// Sharded trace-driven serving: each cell synthesizes its owned
-			// users' arrivals and serves them; the steps then carry the
-			// aggregated per-window serving stats.
-			cfg.Trace = &shard.TraceConfig{
-				RequestsPerUserPerHour: opt.traceRate,
-				WindowS:                float64(opt.checkpointMin) * 60,
-			}
+		// On the trace track each cell synthesizes its owned users'
+		// arrivals and serves them; the steps carry the aggregated windows.
+		cfg, err := shard.FromDynamics(dc, opt.shards)
+		if err != nil {
+			return err
 		}
 		res, err := shard.Run(cfg, src)
 		if err != nil {
 			return err
 		}
-		for _, s := range res.Steps {
-			tl.timeMin = append(tl.timeMin, s.TimeMin)
-			tl.hit = append(tl.hit, s.HitRatio[0])
-			tl.replaced = append(tl.replaced, s.Replaced[0])
-			if opt.traceDriven {
-				tl.serve = append(tl.serve, s.Serve[0])
-			}
-		}
-		tl.count = res.Replacements[0]
-		tl.extra = fmt.Sprintf("shards\t%d cells, %d handoffs, %d grows\n", res.Cells, res.Handoffs, res.Grows)
+		steps, replacements = res.Steps, res.Replacements[0]
+		extra = fmt.Sprintf("shards\t%d cells, %d handoffs, %d grows\n", res.Cells, res.Handoffs, res.Grows)
 	} else {
-		res, err := dynamics.Run(dynamics.Config{
-			Instance:      ins,
-			Capacities:    caps,
-			Tracks:        []dynamics.Track{{Algorithm: alg, Trigger: trigger}},
-			DurationMin:   opt.durationMin,
-			CheckpointMin: opt.checkpointMin,
-			SlotS:         5,
-			Realizations:  opt.realizations,
-			Mode:          mode,
-			Measurement:   measurement,
-		}, src)
+		res, err := dynamics.Run(dc, src)
 		if err != nil {
 			return err
 		}
-		for _, s := range res.Steps {
-			tl.timeMin = append(tl.timeMin, s.TimeMin)
-			tl.hit = append(tl.hit, s.HitRatio[0])
-			tl.replaced = append(tl.replaced, s.Replaced[0])
-		}
-		tl.count = res.Replacements[0]
+		steps, replacements = res.Steps, res.Replacements[0]
 	}
 	tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
 	fmt.Fprintf(tw, "algorithm\t%s\n", alg.Name())
 	fmt.Fprintf(tw, "scenario\tM=%d K=%d I=%d\n", ins.NumServers(), ins.NumUsers(), ins.NumModels())
 	fmt.Fprintf(tw, "policy\t%s; %s\n", trigger.Name(), measureDesc)
-	if tl.extra != "" {
-		fmt.Fprint(tw, tl.extra)
-	}
-	if tl.serve != nil {
+	fmt.Fprint(tw, extra)
+	if opt.traceDriven {
 		fmt.Fprintf(tw, "time (min)\thit ratio\trequests\tp50\tp99\treplaced\n")
-		for i := range tl.timeMin {
-			marker := ""
-			if tl.replaced[i] {
-				marker = "  <- replaced"
-			}
-			sv := tl.serve[i]
-			fmt.Fprintf(tw, "%.0f\t%.4f\t%d\t%v\t%v\t%s\n", tl.timeMin[i], tl.hit[i],
-				sv.Requests, sv.P50Latency.Round(1_000_000), sv.P99Latency.Round(1_000_000), marker)
-		}
 	} else {
 		fmt.Fprintf(tw, "time (min)\thit ratio\treplaced\n")
-		for i := range tl.timeMin {
-			marker := ""
-			if tl.replaced[i] {
-				marker = "  <- replaced"
-			}
-			fmt.Fprintf(tw, "%.0f\t%.4f\t%s\n", tl.timeMin[i], tl.hit[i], marker)
+	}
+	for _, st := range steps {
+		marker := ""
+		if st.Replaced[0] {
+			marker = "  <- replaced"
+		}
+		if opt.traceDriven {
+			sv := st.Serve[0]
+			fmt.Fprintf(tw, "%.0f\t%.4f\t%d\t%v\t%v\t%s\n", st.TimeMin, st.HitRatio[0],
+				sv.Requests, sv.P50Latency.Round(1_000_000), sv.P99Latency.Round(1_000_000), marker)
+		} else {
+			fmt.Fprintf(tw, "%.0f\t%.4f\t%s\n", st.TimeMin, st.HitRatio[0], marker)
 		}
 	}
-	fmt.Fprintf(tw, "replacements\t%d\n", tl.count)
+	fmt.Fprintf(tw, "replacements\t%d\n", replacements)
 	return tw.Flush()
 }

@@ -103,7 +103,7 @@ func TestRunTraceDrivenTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"trace-driven", "measured degradation over 2 checkpoints", "time (min)", "replacements"} {
+	for _, want := range []string{"trace-driven", "measured degradation over 2 checkpoints", "time (min)", "requests", "p99", "replacements"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("trace-driven output missing %q:\n%s", want, out.String())
 		}

@@ -92,6 +92,9 @@ func (s *Scenario) RunDynamics(cfg DynamicsConfig, seed uint64) ([]DynamicsStep,
 	if err != nil {
 		return nil, 0, fmt.Errorf("trimcaching: %w", err)
 	}
+	if cfg.Shards > 1 && cfg.Measurement == "trace" {
+		return nil, 0, fmt.Errorf("trimcaching: sharded dynamics supports the \"fading\" measurement only")
+	}
 	if cfg.SlotS == 0 {
 		cfg.SlotS = 5
 	}
@@ -127,36 +130,9 @@ func (s *Scenario) RunDynamics(cfg DynamicsConfig, seed uint64) ([]DynamicsStep,
 	default:
 		return nil, 0, fmt.Errorf("trimcaching: unknown measurement %q (want \"fading\" or \"trace\")", cfg.Measurement)
 	}
-	caps := make([]int64, len(s.caps))
-	copy(caps, s.caps)
-	if cfg.Shards > 1 {
-		if cfg.Measurement == "trace" {
-			return nil, 0, fmt.Errorf("trimcaching: sharded dynamics supports the \"fading\" measurement only")
-		}
-		res, err := shard.Run(shard.Config{
-			Instance:      ins,
-			Capacities:    caps,
-			Tracks:        []dynamics.Track{{Algorithm: alg, Trigger: trigger}},
-			DurationMin:   cfg.DurationMin,
-			CheckpointMin: cfg.CheckpointMin,
-			SlotS:         cfg.SlotS,
-			Realizations:  cfg.Realizations,
-			Mode:          mode,
-			Shards:        cfg.Shards,
-			Workers:       cfg.Workers,
-		}, rng.New(seed))
-		if err != nil {
-			return nil, 0, fmt.Errorf("trimcaching: %w", err)
-		}
-		steps := make([]DynamicsStep, len(res.Steps))
-		for si, st := range res.Steps {
-			steps[si] = DynamicsStep{TimeMin: st.TimeMin, HitRatio: st.HitRatio[0], Replaced: st.Replaced[0]}
-		}
-		return steps, res.Replacements[0], nil
-	}
-	res, err := dynamics.Run(dynamics.Config{
+	dc := dynamics.Config{
 		Instance:      ins,
-		Capacities:    caps,
+		Capacities:    append([]int64(nil), s.caps...),
 		Tracks:        []dynamics.Track{{Algorithm: alg, Trigger: trigger}},
 		DurationMin:   cfg.DurationMin,
 		CheckpointMin: cfg.CheckpointMin,
@@ -164,13 +140,30 @@ func (s *Scenario) RunDynamics(cfg DynamicsConfig, seed uint64) ([]DynamicsStep,
 		Realizations:  cfg.Realizations,
 		Mode:          mode,
 		Measurement:   measurement,
-	}, rng.New(seed))
-	if err != nil {
-		return nil, 0, fmt.Errorf("trimcaching: %w", err)
 	}
-	steps := make([]DynamicsStep, len(res.Steps))
-	for si, st := range res.Steps {
-		steps[si] = DynamicsStep{TimeMin: st.TimeMin, HitRatio: st.HitRatio[0], Replaced: st.Replaced[0]}
+	var steps []dynamics.Step
+	var replacements int
+	if cfg.Shards > 1 {
+		scfg, err := shard.FromDynamics(dc, cfg.Shards)
+		if err != nil {
+			return nil, 0, fmt.Errorf("trimcaching: %w", err)
+		}
+		scfg.Workers = cfg.Workers
+		res, err := shard.Run(scfg, rng.New(seed))
+		if err != nil {
+			return nil, 0, fmt.Errorf("trimcaching: %w", err)
+		}
+		steps, replacements = res.Steps, res.Replacements[0]
+	} else {
+		res, err := dynamics.Run(dc, rng.New(seed))
+		if err != nil {
+			return nil, 0, fmt.Errorf("trimcaching: %w", err)
+		}
+		steps, replacements = res.Steps, res.Replacements[0]
 	}
-	return steps, res.Replacements[0], nil
+	out := make([]DynamicsStep, len(steps))
+	for si, st := range steps {
+		out[si] = DynamicsStep{TimeMin: st.TimeMin, HitRatio: st.HitRatio[0], Replaced: st.Replaced[0]}
+	}
+	return out, replacements, nil
 }

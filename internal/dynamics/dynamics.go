@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"trimcaching/internal/bitset"
+	"trimcaching/internal/cachesim"
 	"trimcaching/internal/geom"
 	"trimcaching/internal/memprof"
 	"trimcaching/internal/mobility"
@@ -200,6 +201,24 @@ type Step struct {
 	HitRatio []float64 `json:"hitRatio"`
 	// Replaced reports, per track, whether its trigger fired here.
 	Replaced []bool `json:"replaced"`
+	// Serve is, per track, the request-level serving window this
+	// checkpoint's measurement served (the trace track only; nil on the
+	// fading track). The sharded engine sums the cells' counters, weights
+	// the hit ratio by requests, and computes the latency quantiles on the
+	// merge of the cells' sorted latencies; one cell passes its window
+	// through verbatim.
+	Serve []cachesim.EventResult `json:"serve,omitempty"`
+}
+
+// Clone returns a deep copy of st, for callers that keep a step whose
+// slices alias engine-owned scratch.
+func (st Step) Clone() Step {
+	return Step{
+		TimeMin:  st.TimeMin,
+		HitRatio: append([]float64(nil), st.HitRatio...),
+		Replaced: append([]bool(nil), st.Replaced...),
+		Serve:    append([]cachesim.EventResult(nil), st.Serve...),
+	}
 }
 
 // Result is a completed timeline.
@@ -835,25 +854,40 @@ func (e *Engine) Run() (*Result, error) {
 		Steps:        make([]Step, 0, e.checkpoints+1),
 		Replacements: e.replacements,
 	}
-	first := Step{TimeMin: 0, HitRatio: make([]float64, len(e.cfg.Tracks)), Replaced: make([]bool, len(e.cfg.Tracks))}
-	copy(first.HitRatio, e.baselines)
-	res.Steps = append(res.Steps, first)
-
+	// Steps are engine-owned and reused; the result keeps its own copies.
+	res.Steps = append(res.Steps, e.InitialStep().Clone())
 	for cp := 1; cp <= e.checkpoints; cp++ {
 		step, err := e.Checkpoint(cp)
 		if err != nil {
 			return nil, err
 		}
-		// Step's slices are engine-owned and reused; the result keeps its
-		// own copies.
-		kept := Step{
-			TimeMin:  step.TimeMin,
-			HitRatio: append([]float64(nil), step.HitRatio...),
-			Replaced: append([]bool(nil), step.Replaced...),
-		}
-		res.Steps = append(res.Steps, kept)
+		res.Steps = append(res.Steps, step.Clone())
 	}
 	return res, nil
+}
+
+// InitialStep returns the t = 0 step: every track's post-placement
+// baseline, no replacement, and on the trace track the baseline window.
+// Call it before the first Checkpoint. Like Step's, its slices are
+// engine-owned and reused: valid until the next Step call.
+func (e *Engine) InitialStep() Step {
+	step := Step{
+		HitRatio: e.stepHit[:len(e.cfg.Tracks)],
+		Replaced: e.stepReplaced[:len(e.cfg.Tracks)],
+		Serve:    e.lastServe(),
+	}
+	copy(step.HitRatio, e.baselines)
+	clear(step.Replaced)
+	return step
+}
+
+// lastServe returns the trace track's per-track serving windows of the
+// latest recorded measurement, or nil on the fading track.
+func (e *Engine) lastServe() []cachesim.EventResult {
+	if e.traceMeas == nil {
+		return nil
+	}
+	return e.traceMeas.LastResults()[:len(e.cfg.Tracks)]
 }
 
 // Checkpoint advances one checkpoint: walk every user (Advance), refresh
@@ -876,10 +910,9 @@ func (e *Engine) Checkpoint(cp int) (Step, error) {
 // externally (the shard layer) call it once per checkpoint after
 // ApplyExternal; Run uses it verbatim.
 //
-// The returned step's HitRatio and Replaced slices are engine-owned and
-// reused: they are valid until the next Step call, so the steady-state
-// checkpoint loop allocates nothing. Callers that keep steps copy the
-// slices (Run does).
+// The returned step's slices are engine-owned and reused: they are valid
+// until the next Step call, so the steady-state checkpoint loop allocates
+// nothing. Callers that keep steps Clone them (Run does).
 func (e *Engine) Step(cp int) (Step, error) {
 	hits, err := e.Measure(cp)
 	if err != nil {
@@ -889,11 +922,12 @@ func (e *Engine) Step(cp int) (Step, error) {
 		TimeMin:  float64(cp * e.cfg.CheckpointMin),
 		HitRatio: e.stepHit[:len(e.cfg.Tracks)],
 		Replaced: e.stepReplaced[:len(e.cfg.Tracks)],
+		// Replacement re-measures do not record, so the window stays this
+		// checkpoint's.
+		Serve: e.lastServe(),
 	}
 	copy(step.HitRatio, hits)
-	for a := range step.Replaced {
-		step.Replaced[a] = false
-	}
+	clear(step.Replaced)
 	for a, tr := range e.cfg.Tracks {
 		trigger := tr.Trigger
 		if trigger == nil {
@@ -920,12 +954,6 @@ func (e *Engine) Step(cp int) (Step, error) {
 // Replacements returns track a's re-placement count so far (excluding the
 // initial placement).
 func (e *Engine) Replacements(a int) int { return e.replacements[a] }
-
-// TraceMeasurement returns the engine's trace-driven measurement, or nil
-// when the engine measures with the Monte-Carlo fading track. Callers use
-// it to read request-level serve stats (LastResults, LastLatencies) after a
-// Step — the production-facing numbers the scalar hit ratio compresses away.
-func (e *Engine) TraceMeasurement() *TraceMeasurement { return e.traceMeas }
 
 // MemoryFootprint returns the engine's memory accounting: the instance's
 // own breakdown, plus the evaluator state, the measurement scratch (for

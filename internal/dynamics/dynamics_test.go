@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"slices"
 	"testing"
 
 	"trimcaching/internal/libgen"
@@ -68,6 +69,9 @@ func assertResultsEqual(t *testing.T, got, want *Result, label string) {
 			if g.Replaced[a] != w.Replaced[a] {
 				t.Fatalf("%s: step %d track %d replaced %v, want %v", label, si, a, g.Replaced[a], w.Replaced[a])
 			}
+		}
+		if !slices.Equal(g.Serve, w.Serve) {
+			t.Fatalf("%s: step %d serve %+v, want %+v", label, si, g.Serve, w.Serve)
 		}
 	}
 	for a := range want.Replacements {

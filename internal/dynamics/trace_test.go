@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"reflect"
 	"testing"
 
 	"trimcaching/internal/rng"
@@ -66,6 +67,52 @@ func TestTraceIncrementalMatchesRebuild(t *testing.T) {
 			}
 			assertResultsEqual(t, inc, reb, tc.name)
 		})
+	}
+}
+
+// TestStepServe pins where a step's serving windows come from: every
+// trace-track step carries one window per track with requests in it (a
+// window's hit ratio is the step's unless the track re-placed and
+// re-baselined), fading steps carry none, and InitialStep is Run's t = 0
+// step on both tracks.
+func TestStepServe(t *testing.T) {
+	for _, trace := range []bool{false, true} {
+		newCfg := func() Config {
+			if trace {
+				return newTraceConfig(t, 53, Incremental, 1, 0.05, 2)
+			}
+			return testConfig(testInstance(t, 53), ThresholdTrigger{Degradation: 0.05}, Incremental, 1)
+		}
+		res, err := Run(newCfg(), rng.New(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, st := range res.Steps {
+			if !trace {
+				if st.Serve != nil {
+					t.Fatalf("fading step %d carries serve windows %+v", si, st.Serve)
+				}
+				continue
+			}
+			if len(st.Serve) != len(st.HitRatio) {
+				t.Fatalf("trace step %d: %d serve windows for %d tracks", si, len(st.Serve), len(st.HitRatio))
+			}
+			for a, sv := range st.Serve {
+				if sv.Requests <= 0 {
+					t.Errorf("trace step %d track %d: window served %d requests", si, a, sv.Requests)
+				}
+				if !st.Replaced[a] && sv.HitRatio != st.HitRatio[a] {
+					t.Errorf("trace step %d track %d: window hit %v, step hit %v", si, a, sv.HitRatio, st.HitRatio[a])
+				}
+			}
+		}
+		eng, err := NewEngine(newCfg(), rng.New(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.InitialStep().Clone(); !reflect.DeepEqual(got, res.Steps[0]) {
+			t.Errorf("trace=%v: InitialStep %+v, Run's step 0 %+v", trace, got, res.Steps[0])
+		}
 	}
 }
 

@@ -624,10 +624,10 @@ func finishGallery(res *GalleryResult, cfg GalleryConfig, recoveryCp int) {
 	}
 }
 
-// Engine is the event surface both timeline engines share. The unsharded
-// *dynamics.Engine satisfies it directly; ShardEngine adapts the sharded
-// one. ApplyEvent and the gallery driver are written against it once, so
-// both engines replay a timeline through the same code.
+// Engine is the event surface both timeline engines share; *dynamics.Engine
+// and *shard.Engine satisfy it directly. ApplyEvent and the gallery driver
+// are written against it once, so both engines replay a timeline through
+// the same code.
 type Engine interface {
 	SetServersDown(servers []int, down bool) error
 	SetServerCapacity(m int, bytes int64) error
@@ -638,20 +638,9 @@ type Engine interface {
 	GrowLibrary(ins *scenario.Instance) error
 	Positions() []geom.Point
 	Checkpoints() int
+	InitialStep() dynamics.Step
 	Checkpoint(cp int) (dynamics.Step, error)
 	Replacements(a int) int
-}
-
-// ShardEngine adapts a sharded engine to Engine. Its steps drop the
-// serving aggregate (shard.Step.Serve); the hit ratios and replacement
-// flags pass through as the engine-owned slices they are.
-func ShardEngine(se *shard.Engine) Engine { return shardEngine{se} }
-
-type shardEngine struct{ *shard.Engine }
-
-func (s shardEngine) Checkpoint(cp int) (dynamics.Step, error) {
-	st, err := s.Engine.Checkpoint(cp)
-	return dynamics.Step{TimeMin: st.TimeMin, HitRatio: st.HitRatio, Replaced: st.Replaced}, err
 }
 
 // ApplyEvent applies one fault event — outage, recovery, degrade, or
@@ -717,30 +706,25 @@ func faultEdge(ev Event) (fault, recovery bool) {
 
 // NewEngine builds the unsharded engine over dc when shards is 0, or the
 // sharded engine at that many cells (dc lifted by shard.FromDynamics, with
-// dc.Workers bounding the cell pool too), and returns it with its t = 0
-// hit ratio per track.
-func NewEngine(dc dynamics.Config, shards int, src *rng.Source) (Engine, []float64, error) {
+// dc.Workers bounding the cell pool too).
+func NewEngine(dc dynamics.Config, shards int, src *rng.Source) (Engine, error) {
 	if shards == 0 {
 		de, err := dynamics.NewEngine(dc, src)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		t0 := make([]float64, len(dc.Tracks))
-		for a := range t0 {
-			t0[a] = de.Baseline(a)
-		}
-		return de, t0, nil
+		return de, nil
 	}
 	scfg, err := shard.FromDynamics(dc, shards)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	scfg.Workers = dc.Workers
 	se, err := shard.NewEngine(scfg, src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return ShardEngine(se), append([]float64(nil), se.InitialStep().HitRatio...), nil
+	return se, nil
 }
 
 // RunGallery runs one gallery scenario through the unsharded dynamics
@@ -779,7 +763,7 @@ func runGallery(cfg GalleryConfig, sharded bool) (*GalleryResult, error) {
 	if sharded {
 		shards = cfg.Shards
 	}
-	eng, t0, err := NewEngine(dynamics.Config{
+	eng, err := NewEngine(dynamics.Config{
 		Instance:      ins,
 		Capacities:    s.caps,
 		Tracks:        s.tracks,
@@ -799,7 +783,7 @@ func runGallery(cfg GalleryConfig, sharded bool) (*GalleryResult, error) {
 	}
 
 	res := &GalleryResult{Scenario: cfg.Name, Sharded: sharded, Steps: make([]GalleryStep, 0, eng.Checkpoints()+1)}
-	res.Steps = append(res.Steps, GalleryStep{TimeMin: 0, HitRatio: t0[0]})
+	res.Steps = append(res.Steps, GalleryStep{TimeMin: 0, HitRatio: eng.InitialStep().HitRatio[0]})
 	recoveryCp := -1
 	for cp := 1; cp <= eng.Checkpoints(); cp++ {
 		var labels []string
@@ -850,7 +834,7 @@ func runGallery(cfg GalleryConfig, sharded bool) (*GalleryResult, error) {
 	}
 	res.Replacements = eng.Replacements(0)
 	res.FinalModels = active
-	if se, ok := eng.(shardEngine); ok {
+	if se, ok := eng.(*shard.Engine); ok {
 		res.Handoffs, res.Grows = se.Handoffs(), se.Grows()
 	}
 	finishGallery(res, cfg, recoveryCp)

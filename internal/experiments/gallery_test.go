@@ -10,6 +10,13 @@ import (
 
 	"trimcaching/internal/dynamics"
 	"trimcaching/internal/geom"
+	"trimcaching/internal/shard"
+)
+
+// Both timeline engines drive the gallery without an adapter.
+var (
+	_ Engine = (*dynamics.Engine)(nil)
+	_ Engine = (*shard.Engine)(nil)
 )
 
 // galleryGolden is the checked-in artifact for one scenario: the full

@@ -137,7 +137,7 @@ func replayVariant(newBase func() (dynamics.Config, error), seed uint64, tl expe
 		base.Mode = v.mode
 	}
 	base.Workers = v.workers
-	eng, t0, err := experiments.NewEngine(base, v.shards, rng.New(seed))
+	eng, err := experiments.NewEngine(base, v.shards, rng.New(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -156,15 +156,15 @@ func replayVariant(newBase func() (dynamics.Config, error), seed uint64, tl expe
 			return nil
 		}
 	}
-	return replay(eng, t0, tl, check)
+	return replay(eng, tl, check)
 }
 
 // replay drives one engine through the schedule — every event through
 // experiments.ApplyEvent, so each one forces a re-placement, the gallery's
 // cadence — and returns its per-checkpoint hit ratios (per track,
 // including t = 0). A non-nil check runs after every checkpoint.
-func replay(eng experiments.Engine, t0 []float64, tl experiments.Timeline, check func() error) ([][]float64, error) {
-	steps := [][]float64{append([]float64(nil), t0...)}
+func replay(eng experiments.Engine, tl experiments.Timeline, check func() error) ([][]float64, error) {
+	steps := [][]float64{append([]float64(nil), eng.InitialStep().HitRatio...)}
 	for cp := 1; cp <= eng.Checkpoints(); cp++ {
 		for _, ev := range tl.At(cp) {
 			if err := experiments.ApplyEvent(eng, ev, cp); err != nil {

@@ -101,8 +101,8 @@ func TestFadedHitMassBlockValidation(t *testing.T) {
 }
 
 // TestRankIndexBuiltAtConstruction pins the construction-time rank index:
-// a fresh instance must expose sorted per-user rank rows without any
-// in-place update or EnsureRankIndex call having run.
+// a fresh instance must expose sorted per-user rank rows before any
+// in-place update has run: construction is the index's only builder.
 func TestRankIndexBuiltAtConstruction(t *testing.T) {
 	ins := buildInstance(t, 6, 12, 3, 50)
 	I := ins.NumModels()

@@ -13,13 +13,13 @@ import (
 // driveDegradeTimeline runs a sharded smoke timeline with a regional
 // degradation before checkpoint 1 and a restore before checkpoint 2,
 // forcing replaces on both edges, and returns the aggregated steps.
-func driveDegradeTimeline(t *testing.T, cfg Config, seed uint64, region geom.Region, bytes int64) []Step {
+func driveDegradeTimeline(t *testing.T, cfg Config, seed uint64, region geom.Region, bytes int64) []dynamics.Step {
 	t.Helper()
 	se, err := NewEngine(cfg, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := []Step{copyStep(se.InitialStep())}
+	steps := []dynamics.Step{se.InitialStep().Clone()}
 	for cp := 1; cp <= se.Checkpoints(); cp++ {
 		if cp == 1 || cp == 2 {
 			budget := bytes
@@ -37,7 +37,7 @@ func driveDegradeTimeline(t *testing.T, cfg Config, seed uint64, region geom.Reg
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps = append(steps, copyStep(st))
+		steps = append(steps, st.Clone())
 	}
 	return steps
 }
@@ -59,7 +59,7 @@ func TestShardDegradeSingleShardMatchesDynamics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Step{{TimeMin: 0, HitRatio: []float64{eng.Baseline(0)}, Replaced: []bool{false}}}
+	want := []dynamics.Step{eng.InitialStep().Clone()}
 	for cp := 1; cp <= eng.Checkpoints(); cp++ {
 		if cp == 1 || cp == 2 {
 			b := int64(budget)
@@ -83,11 +83,7 @@ func TestShardDegradeSingleShardMatchesDynamics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, Step{
-			TimeMin:  st.TimeMin,
-			HitRatio: append([]float64(nil), st.HitRatio...),
-			Replaced: append([]bool(nil), st.Replaced...),
-		})
+		want = append(want, st.Clone())
 	}
 	sameSteps(t, "single-shard degrade vs dynamics", got, want)
 	if got[1].HitRatio[0] >= got[0].HitRatio[0] {
@@ -242,7 +238,7 @@ func TestShardCapacityOverflowRejected(t *testing.T) {
 	if err := got.DegradeRegion(region, huge); err == nil {
 		t.Fatal("DegradeRegion accepted an overflowing budget")
 	}
-	steps := make([]Step, 2)
+	steps := make([]dynamics.Step, 2)
 	for k, se := range []*Engine{got, want} {
 		if err := se.ForceReplace(1); err != nil {
 			t.Fatal(err)
@@ -251,7 +247,7 @@ func TestShardCapacityOverflowRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps[k] = Step{TimeMin: st.TimeMin, HitRatio: append([]float64(nil), st.HitRatio...), Replaced: append([]bool(nil), st.Replaced...)}
+		steps[k] = st.Clone()
 	}
 	sameSteps(t, "after rejected capacity ops", steps[:1], steps[1:])
 	for c, sh := range want.cells {

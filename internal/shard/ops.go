@@ -167,9 +167,6 @@ func (e *Engine) GrowLibrary(newIns *scenario.Instance) error {
 	if newIns.Shadowed() {
 		return fmt.Errorf("shard: shadowed instances are not shardable (per-link gains are index-keyed)")
 	}
-	if e.cfg.Shards > 1 {
-		newIns.EnsureRankIndex()
-	}
 	e.cfg.Instance = newIns
 	e.zeroRow = make([]float64, newIns.NumModels())
 	for _, sh := range e.cells {
@@ -193,7 +190,7 @@ func (e *Engine) GrowLibrary(newIns *scenario.Instance) error {
 // InitialStep returns the aggregated t = 0 step (the cells' initial
 // baselines), for callers that drive Checkpoint themselves instead of Run.
 // Like Checkpoint, the returned step's slices are engine-owned and reused.
-func (e *Engine) InitialStep() Step { return e.baselineStep() }
+func (e *Engine) InitialStep() dynamics.Step { return e.baselineStep() }
 
 // Replacements returns track a's re-placements summed over cells so far,
 // including those of engines retired by grows and library growth (each

@@ -15,13 +15,13 @@ import (
 // driveOutageTimeline runs a sharded smoke timeline with an outage before
 // checkpoint 1 and recovery before checkpoint 2, forcing replaces on both
 // edges, and returns the aggregated steps (copied).
-func driveOutageTimeline(t *testing.T, cfg Config, seed uint64, downed []int) []Step {
+func driveOutageTimeline(t *testing.T, cfg Config, seed uint64, downed []int) []dynamics.Step {
 	t.Helper()
 	se, err := NewEngine(cfg, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := []Step{copyStep(se.InitialStep())}
+	steps := []dynamics.Step{se.InitialStep().Clone()}
 	for cp := 1; cp <= se.Checkpoints(); cp++ {
 		if cp == 1 || cp == 2 {
 			if err := se.SetServersDown(downed, cp == 1); err != nil {
@@ -35,7 +35,7 @@ func driveOutageTimeline(t *testing.T, cfg Config, seed uint64, downed []int) []
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps = append(steps, copyStep(st))
+		steps = append(steps, st.Clone())
 	}
 	return steps
 }
@@ -56,7 +56,7 @@ func TestShardOutageSingleShardMatchesDynamics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Step{{TimeMin: 0, HitRatio: []float64{eng.Baseline(0)}, Replaced: []bool{false}}}
+	want := []dynamics.Step{eng.InitialStep().Clone()}
 	for cp := 1; cp <= eng.Checkpoints(); cp++ {
 		if cp == 1 || cp == 2 {
 			if err := eng.SetServersDown(downed, cp == 1); err != nil {
@@ -76,11 +76,7 @@ func TestShardOutageSingleShardMatchesDynamics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, Step{
-			TimeMin:  st.TimeMin,
-			HitRatio: append([]float64(nil), st.HitRatio...),
-			Replaced: append([]bool(nil), st.Replaced...),
-		})
+		want = append(want, st.Clone())
 	}
 	sameSteps(t, "single-shard outage vs dynamics", got, want)
 }

@@ -52,7 +52,7 @@ import (
 // bit-stable across cell handoffs) and serves it through its own
 // cachesim.ServeSession. Checkpoints then report request-weighted global
 // hit ratios and exact global latency quantiles (per-cell sorted latency
-// buffers merged, not quantiles of quantiles) in Step.Serve.
+// buffers merged, not quantiles of quantiles) in dynamics.Step.Serve.
 type TraceConfig struct {
 	// RequestsPerUserPerHour is the Poisson arrival rate per user. Zero
 	// synthesizes empty windows.
@@ -106,10 +106,6 @@ type Config struct {
 	// Shards is the number of cells; 1 delegates to a single whole-area
 	// cell, bit-identical to the unsharded engine.
 	Shards int
-	// MarginM is the ghost-visibility prefilter band around each cell
-	// rectangle. 0 means the coverage radius, the minimum that keeps owned
-	// server loads exact; smaller positive values are rejected.
-	MarginM float64
 	// Workers bounds the cell-level worker pool; 0 means GOMAXPROCS.
 	// Results are bit-identical for any worker count.
 	Workers int
@@ -169,9 +165,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards <= 0 {
 		return fmt.Errorf("shard: Shards must be positive, got %d", c.Shards)
-	}
-	if r := c.Instance.Topology().CoverageRadius(); c.MarginM != 0 && c.MarginM < r {
-		return fmt.Errorf("shard: margin %v below coverage radius %v breaks load exactness", c.MarginM, r)
 	}
 	return nil
 }
@@ -325,29 +318,13 @@ const (
 	revLevelFull = int8(2)
 )
 
-// Step is one aggregated checkpoint of a sharded timeline.
-type Step struct {
-	// TimeMin is minutes since the start.
-	TimeMin float64 `json:"timeMin"`
-	// HitRatio is, per track, the request-mass-weighted aggregate of the
-	// per-cell hit ratios (with one cell, the cell's hit ratio verbatim).
-	HitRatio []float64 `json:"hitRatio"`
-	// Replaced reports, per track, whether any cell re-placed here.
-	Replaced []bool `json:"replaced"`
-	// Serve is, per track, the request-level serving aggregate of this
-	// checkpoint's measurement windows — counts summed over cells, the hit
-	// ratio request-weighted (ΣQoSHits/ΣRequests), and the latency
-	// quantiles exact (computed on the merge of the cells' sorted latency
-	// buffers, not quantiles of per-cell quantiles). Nil unless the engine
-	// runs the trace-driven track (Config.Trace). With one cell the cell's
-	// EventResult passes through verbatim.
-	Serve []cachesim.EventResult `json:"serve,omitempty"`
-}
-
 // Result is a completed sharded timeline.
 type Result struct {
-	// Steps holds one entry per checkpoint, including t = 0.
-	Steps []Step
+	// Steps holds one entry per checkpoint, including t = 0: per track,
+	// the request-mass-weighted aggregate of the per-cell hit ratios (with
+	// one cell, the cell's hit ratio verbatim), whether any cell re-placed,
+	// and on the trace track the aggregated serving window.
+	Steps []dynamics.Step
 	// Replacements counts each track's re-placements summed over cells.
 	Replacements []int
 	// Handoffs counts ownership changes (a user's owner cell changing).
@@ -363,8 +340,7 @@ type Engine struct {
 	cfg    Config
 	src    *rng.Source
 	grid   grid
-	margin float64
-	radius float64
+	radius float64 // coverage radius, also the ghost-visibility band
 	park   geom.Point
 
 	pop       *mobility.Population
@@ -393,9 +369,9 @@ type Engine struct {
 	// drains it into per-cell mass-only revisions after the membership pass.
 	pendingMass []int
 
-	planScratch []int     // plan-phase localCells backing, reused
-	aggStep     Step      // aggregate's reused result; valid until the next call
-	aggNum      []float64 // aggregate's weighted-sum scratch
+	planScratch []int         // plan-phase localCells backing, reused
+	aggStep     dynamics.Step // aggregate's reused result; valid until the next call
+	aggNum      []float64     // aggregate's weighted-sum scratch
 
 	// Trace-mode aggregation scratch: the per-track serve aggregates and
 	// the k-way merge of the cells' sorted latency buffers, reused across
@@ -420,10 +396,6 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 	gt := cfg.Instance.Topology()
 	side := gt.Area().Side
 	radius := gt.CoverageRadius()
-	margin := cfg.MarginM
-	if margin == 0 {
-		margin = radius
-	}
 	headroom := cfg.SlotHeadroom
 	if headroom <= 0 {
 		headroom = 0.25
@@ -432,7 +404,6 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 		cfg:                cfg,
 		src:                src,
 		grid:               makeGrid(cfg.Shards, side),
-		margin:             margin,
 		radius:             radius,
 		park:               geom.Point{X: -(side + 4*radius), Y: -(side + 4*radius)},
 		positions:          gt.UserPositions(),
@@ -482,13 +453,6 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 		}
 	}
 
-	if cfg.Shards > 1 {
-		// The global rank index is every cell provider's copy source (see
-		// buildCell). Construction now builds it eagerly; this call is a
-		// no-op safety net for instances from older construction paths.
-		cfg.Instance.EnsureRankIndex()
-	}
-
 	// Mobility: the same global walk the unsharded engine performs.
 	pop, err := mobility.NewPopulation(gt.Area(), e.positions, src.Split("mobility"))
 	if err != nil {
@@ -518,7 +482,7 @@ func NewEngine(cfg Config, src *rng.Source) (*Engine, error) {
 // optional reusable backing slice.
 func (e *Engine) localCells(p geom.Point, owner int, buf []int) []int {
 	out := buf[:0]
-	cx0, cx1, cy0, cy1 := e.grid.candidates(p, e.margin)
+	cx0, cx1, cy0, cy1 := e.grid.candidates(p, e.radius)
 	for cy := cy0; cy <= cy1; cy++ {
 		for cx := cx0; cx <= cx1; cx++ {
 			c := cy*e.grid.gx + cx
@@ -788,23 +752,23 @@ func (e *Engine) Handoffs() int { return e.handoffs }
 // Grows returns the overflow-forced cell rebuilds so far.
 func (e *Engine) Grows() int { return e.grows }
 
-// aggregate folds the cells' last steps into one Step: per track, the
+// aggregate folds the cells' last steps into one step: per track, the
 // request-mass-weighted mean of the per-cell hit ratios (each cell's
 // instance TotalMass is exactly its owned request mass — ghost and spare
 // rows are zero). A single cell passes its hit ratio through untouched,
 // keeping Shards = 1 bit-identical to the unsharded engine.
 //
 // The returned step's slices are engine-owned and reused: valid until the
-// next aggregate (Checkpoint) call. Callers that keep steps copy the
-// slices (Run does).
-func (e *Engine) aggregate(timeMin float64) Step {
+// next aggregate (Checkpoint) call. Callers that keep steps Clone them
+// (Run does).
+func (e *Engine) aggregate(timeMin float64) dynamics.Step {
 	nt := len(e.cfg.Tracks)
 	if cap(e.aggStep.HitRatio) < nt {
 		e.aggStep.HitRatio = make([]float64, nt)
 		e.aggStep.Replaced = make([]bool, nt)
 		e.aggNum = make([]float64, nt)
 	}
-	step := Step{
+	step := dynamics.Step{
 		TimeMin:  timeMin,
 		HitRatio: e.aggStep.HitRatio[:nt],
 		Replaced: e.aggStep.Replaced[:nt],
@@ -949,7 +913,7 @@ func secToDur(s float64) time.Duration {
 }
 
 // baselineStep assembles the t = 0 step from the cells' initial baselines.
-func (e *Engine) baselineStep() Step {
+func (e *Engine) baselineStep() dynamics.Step {
 	for _, sh := range e.cells {
 		sh.lastStep.TimeMin = 0
 		sh.lastStep.HitRatio = append(sh.lastStep.HitRatio[:0], sh.lastBaseline...)
@@ -965,19 +929,19 @@ func (e *Engine) baselineStep() Step {
 // Checkpoint advances one checkpoint: walk all users, plan and apply the
 // membership diffs, refresh and measure every cell on the worker pool, and
 // aggregate. cp counts from 1. The returned step's slices are engine-owned
-// and reused (see aggregate); callers that keep steps copy them.
-func (e *Engine) Checkpoint(cp int) (Step, error) {
+// and reused (see aggregate); callers that keep steps Clone them.
+func (e *Engine) Checkpoint(cp int) (dynamics.Step, error) {
 	for s := 0; s < e.slotsPerCheckpoint; s++ {
 		if err := e.pop.Step(e.cfg.SlotS, e.walkSrc); err != nil {
-			return Step{}, fmt.Errorf("shard: %w", err)
+			return dynamics.Step{}, fmt.Errorf("shard: %w", err)
 		}
 	}
 	e.pop.PositionsInto(e.positions)
 	if err := e.plan(); err != nil {
-		return Step{}, err
+		return dynamics.Step{}, err
 	}
 	if err := e.runCells(cp); err != nil {
-		return Step{}, err
+		return dynamics.Step{}, err
 	}
 	return e.aggregate(float64(cp * e.cfg.CheckpointMin)), nil
 }
@@ -1012,7 +976,7 @@ func (e *Engine) plan() error {
 			// nothing to loads, mass, or measurement (zero-mass skip) —
 			// while churning the slot table only at band boundaries, not
 			// at every coverage-circle crossing.
-			still := e.grid.inBand(int(r.cell), pos, e.margin)
+			still := e.grid.inBand(int(r.cell), pos, e.radius)
 			for _, c := range newLocal {
 				if c == int(r.cell) {
 					still = true
@@ -1249,11 +1213,11 @@ func (e *Engine) runCell(sh *cell, cp int) error {
 // Run drives the whole timeline and aggregates per-checkpoint steps.
 func (e *Engine) Run() (*Result, error) {
 	res := &Result{
-		Steps:        make([]Step, 0, e.checkpoints+1),
+		Steps:        make([]dynamics.Step, 0, e.checkpoints+1),
 		Replacements: make([]int, len(e.cfg.Tracks)),
 		Cells:        len(e.cells),
 	}
-	res.Steps = append(res.Steps, copyStep(e.baselineStep()))
+	res.Steps = append(res.Steps, e.baselineStep().Clone())
 	for cp := 1; cp <= e.checkpoints; cp++ {
 		step, err := e.Checkpoint(cp)
 		if err != nil {
@@ -1261,7 +1225,7 @@ func (e *Engine) Run() (*Result, error) {
 		}
 		// Checkpoint's slices are engine-owned and reused; the result keeps
 		// its own copies.
-		res.Steps = append(res.Steps, copyStep(step))
+		res.Steps = append(res.Steps, step.Clone())
 	}
 	for a := range res.Replacements {
 		res.Replacements[a] = e.replacedBase[a]
@@ -1272,16 +1236,6 @@ func (e *Engine) Run() (*Result, error) {
 	res.Handoffs = e.handoffs
 	res.Grows = e.grows
 	return res, nil
-}
-
-// copyStep deep-copies a step whose slices alias engine-owned scratch.
-func copyStep(st Step) Step {
-	return Step{
-		TimeMin:  st.TimeMin,
-		HitRatio: append([]float64(nil), st.HitRatio...),
-		Replaced: append([]bool(nil), st.Replaced...),
-		Serve:    append([]cachesim.EventResult(nil), st.Serve...),
-	}
 }
 
 // unsafeSizeofEventResult is unsafe.Sizeof(cachesim.EventResult{}), kept as

@@ -29,7 +29,7 @@ func smokeShardConfig(t *testing.T, shards, workers int, mode dynamics.Mode) Con
 	return cfg
 }
 
-func sameSteps(t *testing.T, label string, got, want []Step) {
+func sameSteps(t *testing.T, label string, got, want []dynamics.Step) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d steps, want %d", label, len(got), len(want))
@@ -43,6 +43,15 @@ func sameSteps(t *testing.T, label string, got, want []Step) {
 			if got[i].Replaced[a] != want[i].Replaced[a] {
 				t.Errorf("%s: step %d track %d replaced %v, want %v",
 					label, i, a, got[i].Replaced[a], want[i].Replaced[a])
+			}
+		}
+		if len(got[i].Serve) != len(want[i].Serve) {
+			t.Fatalf("%s: step %d has %d serve tracks, want %d", label, i, len(got[i].Serve), len(want[i].Serve))
+		}
+		for a := range want[i].Serve {
+			if got[i].Serve[a] != want[i].Serve[a] {
+				t.Errorf("%s: step %d track %d serve diverged:\n got %+v\nwant %+v",
+					label, i, a, got[i].Serve[a], want[i].Serve[a])
 			}
 		}
 	}
@@ -67,11 +76,7 @@ func TestSingleShardBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refSteps := make([]Step, len(ref.Steps))
-		for i, s := range ref.Steps {
-			refSteps[i] = Step{TimeMin: s.TimeMin, HitRatio: s.HitRatio, Replaced: s.Replaced}
-		}
-		sameSteps(t, fmt.Sprintf("mode %d", int(mode)), res.Steps, refSteps)
+		sameSteps(t, fmt.Sprintf("mode %d", int(mode)), res.Steps, ref.Steps)
 		for a := range ref.Replacements {
 			if res.Replacements[a] != ref.Replacements[a] {
 				t.Errorf("mode %v: track %d replacements %d, want %d", mode, a, res.Replacements[a], ref.Replacements[a])
@@ -161,7 +166,7 @@ func TestGrow(t *testing.T) {
 func TestGrowKeepsFaults(t *testing.T) {
 	const down, degraded = 0, 1 // both owned by the cell that overflows
 	const budget = 4 << 30
-	var want []Step
+	var want []dynamics.Step
 	for _, mode := range []dynamics.Mode{dynamics.Incremental, dynamics.Rebuild} {
 		cfg := smokeShardConfig(t, 2, 2, mode)
 		cfg.SlotHeadroom = 1e-9
@@ -185,13 +190,13 @@ func TestGrowKeepsFaults(t *testing.T) {
 			t.Fatalf("servers %d and %d are owned by different cells", down, degraded)
 		}
 		retiring := owner.eng
-		var steps []Step
+		var steps []dynamics.Step
 		checkpoint := func(cp int) {
 			st, err := se.Checkpoint(cp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			steps = append(steps, copyStep(st))
+			steps = append(steps, st.Clone())
 		}
 		cp := 1
 		for ; owner.eng == retiring; cp++ {
@@ -278,11 +283,6 @@ func TestConfigValidate(t *testing.T) {
 	cfg.Shards = 0
 	if err := cfg.Validate(); err == nil {
 		t.Error("zero shards accepted")
-	}
-	cfg = base()
-	cfg.MarginM = cfg.Instance.Topology().CoverageRadius() / 2
-	if err := cfg.Validate(); err == nil {
-		t.Error("margin below coverage radius accepted")
 	}
 	// A stateful trigger that implements TriggerCloner is accepted at any
 	// shard count: each cell gets its own clone. One that does not must be

@@ -32,24 +32,6 @@ func traceShardConfig(t *testing.T, shards, workers int) Config {
 	return cfg
 }
 
-func sameServe(t *testing.T, label string, got, want []Step) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d steps vs %d", label, len(got), len(want))
-	}
-	for i := range got {
-		if len(got[i].Serve) != len(want[i].Serve) {
-			t.Fatalf("%s: step %d has %d serve tracks, want %d", label, i, len(got[i].Serve), len(want[i].Serve))
-		}
-		for a := range got[i].Serve {
-			if got[i].Serve[a] != want[i].Serve[a] {
-				t.Errorf("%s: step %d track %d serve diverged:\n got %+v\nwant %+v",
-					label, i, a, got[i].Serve[a], want[i].Serve[a])
-			}
-		}
-	}
-}
-
 // TestTraceShardOneBitIdentical is the trace-mode half of the Shards = 1
 // contract: the single-cell sharded engine must reproduce the unsharded
 // trace-driven timeline bit for bit — measured hit ratios, replacement
@@ -57,8 +39,6 @@ func sameServe(t *testing.T, label string, got, want []Step) {
 // latency quantiles, peak concurrency), which the single-cell aggregate
 // passes through verbatim.
 func TestTraceShardOneBitIdentical(t *testing.T) {
-	// Unsharded reference, driven manually so the per-checkpoint
-	// EventResults can be captured alongside the steps.
 	dc, err := dynamics.NewSmokeScaleConfig(dynamics.Incremental)
 	if err != nil {
 		t.Fatal(err)
@@ -68,57 +48,15 @@ func TestTraceShardOneBitIdentical(t *testing.T) {
 		RequestsPerUserPerHour: 120,
 		WindowS:                float64(dc.CheckpointMin) * 60,
 	}
-	eng, err := dynamics.NewEngine(dc, rng.New(31))
+	want, err := dynamics.Run(dc, rng.New(31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := eng.TraceMeasurement()
-	if tm == nil {
-		t.Fatal("unsharded engine did not expose its TraceMeasurement")
-	}
-	nt := len(dc.Tracks)
-	var wantHits [][]float64
-	var wantServe [][]cachesim.EventResult
-	record := func(hits []float64) {
-		wantHits = append(wantHits, append([]float64(nil), hits...))
-		wantServe = append(wantServe, append([]cachesim.EventResult(nil), tm.LastResults()...))
-	}
-	base := make([]float64, nt)
-	for a := range base {
-		base[a] = eng.Baseline(a)
-	}
-	record(base)
-	for cp := 1; cp <= eng.Checkpoints(); cp++ {
-		if err := eng.Advance(); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Refresh(); err != nil {
-			t.Fatal(err)
-		}
-		st, err := eng.Step(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		record(st.HitRatio)
-	}
-
 	res, err := Run(traceShardConfig(t, 1, 0), rng.New(31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Steps) != len(wantHits) {
-		t.Fatalf("got %d steps, want %d", len(res.Steps), len(wantHits))
-	}
-	for i, st := range res.Steps {
-		for a := range st.HitRatio {
-			if st.HitRatio[a] != wantHits[i][a] {
-				t.Errorf("step %d track %d hit ratio %v, want %v", i, a, st.HitRatio[a], wantHits[i][a])
-			}
-			if st.Serve[a] != wantServe[i][a] {
-				t.Errorf("step %d track %d serve diverged:\n got %+v\nwant %+v", i, a, st.Serve[a], wantServe[i][a])
-			}
-		}
-	}
+	sameSteps(t, "shards=1 vs unsharded", res.Steps, want.Steps)
 	if res.Steps[1].Serve[0].Requests == 0 {
 		t.Fatal("serving window carried no requests; the pin is vacuous")
 	}
@@ -140,7 +78,6 @@ func TestTraceShardWorkerDeterminism(t *testing.T) {
 			continue
 		}
 		sameSteps(t, "workers", res.Steps, ref.Steps)
-		sameServe(t, "workers", res.Steps, ref.Steps)
 	}
 	if ref.Handoffs == 0 {
 		t.Error("sharded trace timeline produced no handoffs; the scenario no longer exercises ownership transfer")
